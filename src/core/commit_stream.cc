@@ -10,16 +10,28 @@ namespace {
 
 using interp::CommitKind;
 
-/** Records every commit, flattening boundary snapshots. */
+/**
+ * Compiles commits into the stream as they arrive, batching runs of
+ * constant-cost steps in the same pass. One raw op is held back: a
+ * CallRet batches only when it is a whole step, i.e. when the next
+ * commit starts a new step (a Call's argument spills share its step).
+ */
 class StreamRecordSink final : public interp::CommitSink
 {
   public:
-    StreamRecordSink(CommitStream &stream) : stream_(stream) {}
+    StreamRecordSink(CommitStream &stream,
+                     const interp::Interpreter &interp)
+        : stream_(stream), interp_(interp)
+    {
+    }
 
     void
     onCommit(const interp::CommitInfo &info) override
     {
-        CommitStream::Op op;
+        if (held_)
+            emit(newStep_);
+        CommitStream::Op &op = pending_;
+        op = CommitStream::Op{};
         op.addr = info.addr;
         op.value = info.storeValue;
         op.func = info.func;
@@ -34,81 +46,66 @@ class StreamRecordSink final : public interp::CommitSink
             op.aux = info.staticRegion;
             // Same snapshot RecordingSink takes: rewound to re-commit
             // the boundary instruction on resume.
-            interp::ControlSnapshot snap = interp_->snapshot();
             CommitStream::SnapRef ref;
             ref.begin = static_cast<std::uint32_t>(
                 stream_.frames.size());
-            ref.count = static_cast<std::uint32_t>(snap.frames.size());
-            stream_.frames.insert(stream_.frames.end(),
-                                  snap.frames.begin(),
-                                  snap.frames.end());
+            interp_.appendSnapshotFrames(stream_.frames);
+            ref.count = static_cast<std::uint32_t>(
+                stream_.frames.size() - ref.begin);
             stream_.snapRefs.push_back(ref);
         }
-        stream_.ops.push_back(op);
+        held_ = true;
         ++stream_.commits;
     }
 
-    void setInterpreter(interp::Interpreter *interp) { interp_ = interp; }
     void markNewStep() { newStep_ = true; }
 
+    /** Emit the held-back op (the run has ended). */
+    void
+    finish()
+    {
+        if (held_)
+            emit(true);
+    }
+
   private:
+    /**
+     * Append the held-back op, folding it into a batch when it is a
+     * whole one-commit step of fixed cost 1 (Alu, Branch) or 2 (a
+     * bare CallRet: a Ret, or a Call with no argument spills).
+     * @p single: the held op's step has no further commits.
+     */
+    void
+    emit(bool single)
+    {
+        std::uint8_t bk = 0;
+        if (pending_.flags & CommitStream::kFlagNewStep) {
+            auto k = static_cast<CommitKind>(pending_.kind);
+            if (k == CommitKind::Alu || k == CommitKind::Branch)
+                bk = CommitStream::kBatch1;
+            else if (k == CommitKind::CallRet && single)
+                bk = CommitStream::kBatch2;
+        }
+        std::vector<CommitStream::Op> &ops = stream_.ops;
+        if (bk == 0) {
+            ops.push_back(pending_);
+        } else if (!ops.empty() && ops.back().kind == bk) {
+            ++ops.back().aux;
+        } else {
+            CommitStream::Op b;
+            b.kind = bk;
+            b.flags = CommitStream::kFlagNewStep;
+            b.aux = 1;
+            ops.push_back(b);
+        }
+    }
+
     CommitStream &stream_;
-    interp::Interpreter *interp_ = nullptr;
+    const interp::Interpreter &interp_;
+    CommitStream::Op pending_;
+    bool held_ = false;
     bool newStep_ = false;
 };
-
-/** True when @p op is a whole one-commit step of fixed cost 1 or 2. */
-bool
-batchClass(const CommitStream::Op &op, bool single_commit_step,
-           std::uint8_t &kind_out)
-{
-    if (!(op.flags & CommitStream::kFlagNewStep))
-        return false;
-    auto k = static_cast<CommitKind>(op.kind);
-    if (k == CommitKind::Alu || k == CommitKind::Branch) {
-        kind_out = CommitStream::kBatch1;
-        return true;
-    }
-    // A Call followed by argument spills shares its step with them
-    // and cannot batch; a bare CallRet (Ret / spill-free Call) can.
-    if (k == CommitKind::CallRet && single_commit_step) {
-        kind_out = CommitStream::kBatch2;
-        return true;
-    }
-    return false;
-}
-
-/** Collapse runs of constant-cost single-commit steps into batches. */
-void
-compact(CommitStream &stream)
-{
-    std::vector<CommitStream::Op> out;
-    out.reserve(stream.ops.size() / 2 + 16);
-    for (std::size_t i = 0; i < stream.ops.size(); ++i) {
-        const CommitStream::Op &op = stream.ops[i];
-        bool single =
-            i + 1 == stream.ops.size() ||
-            (stream.ops[i + 1].flags & CommitStream::kFlagNewStep);
-        std::uint8_t bk;
-        if (batchClass(op, single, bk)) {
-            if (!out.empty() && out.back().kind == bk) {
-                ++out.back().aux;
-            } else {
-                CommitStream::Op b;
-                b.kind = bk;
-                b.flags = CommitStream::kFlagNewStep;
-                b.aux = 1;
-                out.push_back(b);
-            }
-            continue;
-        }
-        out.push_back(op);
-    }
-    stream.ops = std::move(out);
-    stream.ops.shrink_to_fit();
-    stream.frames.shrink_to_fit();
-    stream.snapRefs.shrink_to_fit();
-}
 
 } // namespace
 
@@ -123,17 +120,17 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
     stream.entry = entry;
     stream.args = args;
     if (expected_instrs != 0) {
-        // Commits run slightly above steps (spills, fused boundary
-        // commits); cap so an inflated hint cannot balloon memory.
-        constexpr std::uint64_t kMaxOpReserve = std::uint64_t{1} << 22;
-        stream.ops.reserve(static_cast<std::size_t>(std::min(
-            expected_instrs + expected_instrs / 2, kMaxOpReserve)));
+        // Batching folds most steps away: the paper apps' streams
+        // hold 0.07-1.0 ops per hinted instruction, 0.25 at the
+        // median. Cap so an inflated hint cannot balloon memory.
+        constexpr std::uint64_t kMaxOpReserve = std::uint64_t{1} << 21;
+        stream.ops.reserve(static_cast<std::size_t>(
+            std::min(expected_instrs / 2, kMaxOpReserve)));
     }
 
     interp::SparseMemory memory;
     interp::Interpreter interp(module, memory, 0);
-    StreamRecordSink sink(stream);
-    sink.setInterpreter(&interp);
+    StreamRecordSink sink(stream, interp);
     // start()'s argument-spill stores run before the step loop, so
     // they carry no new-step flag: replay applies them before the
     // first crash check, exactly as the interpreted path does.
@@ -145,9 +142,12 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
             cwsp_fatal("instruction budget exceeded (", max_instrs,
                        ") while recording ", entry);
     }
+    sink.finish();
     stream.returnValue = interp.returnValue();
 
-    compact(stream);
+    stream.ops.shrink_to_fit();
+    stream.frames.shrink_to_fit();
+    stream.snapRefs.shrink_to_fit();
     return stream;
 }
 

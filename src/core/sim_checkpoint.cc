@@ -1,7 +1,6 @@
 #include "core/sim_checkpoint.hh"
 
-#include <cstdlib>
-
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace cwsp::core {
@@ -51,13 +50,7 @@ CheckpointCache::CheckpointCache(std::size_t max_bytes)
 std::size_t
 CheckpointCache::defaultCapBytes()
 {
-    if (const char *env = std::getenv("CWSP_CKPT_CACHE_MB")) {
-        char *end = nullptr;
-        unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end != env)
-            return static_cast<std::size_t>(mb) * 1024 * 1024;
-    }
-    return 256ull * 1024 * 1024;
+    return envCacheMb("CWSP_CKPT_CACHE_MB") * 1024 * 1024;
 }
 
 void

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -132,18 +133,20 @@ resolveCacheDir(const BatchConfig &config)
 std::size_t
 resolveStreamCacheBytes(const BatchConfig &config)
 {
-    std::size_t mb = config.streamCacheMb;
-    if (mb == 0) {
-        if (const char *env = std::getenv("CWSP_STREAM_CACHE_MB");
-            env && *env) {
-            long v = std::atol(env);
-            if (v > 0)
-                mb = static_cast<std::size_t>(v);
-        }
-    }
-    if (mb == 0)
-        mb = 256;
+    std::size_t mb = config.streamCacheMb != 0
+                         ? config.streamCacheMb
+                         : envCacheMb("CWSP_STREAM_CACHE_MB");
     return mb * std::size_t{1024} * 1024;
+}
+
+/** Identity of one compiled program + entry (the stream-cache key). */
+std::string
+programKey(const workloads::AppProfile &app,
+           const compiler::CompilerOptions &options,
+           const std::string &entry)
+{
+    return workloads::profileKey(app) + "|" +
+           core::compilerOptionsKey(options) + "|entry=" + entry;
 }
 
 /**
@@ -182,6 +185,8 @@ struct BatchRunner::Impl
     std::vector<std::string> streamOrder;
     std::size_t streamBytes = 0;
     std::size_t streamBytesCap = 0;
+    /** Programs compute() has simulated (record-on-reuse demand set). */
+    std::set<std::string> programsSeen;
 
     std::atomic<std::uint64_t> simulated{0};
     std::atomic<std::uint64_t> memoryHits{0};
@@ -361,9 +366,7 @@ BatchRunner::streamFor(const workloads::AppProfile &app,
                        std::uint64_t max_instrs,
                        std::shared_ptr<const ir::Module> mod)
 {
-    std::string key = workloads::profileKey(app) + "|" +
-                      core::compilerOptionsKey(options) +
-                      "|entry=" + entry;
+    const std::string key = programKey(app, options, entry);
     std::promise<std::shared_ptr<const core::CommitStream>> promise;
     std::shared_future<std::shared_ptr<const core::CommitStream>> fut;
     bool owner = false;
@@ -443,12 +446,21 @@ BatchRunner::compute(const DesignPoint &point, const std::string &key)
     if (config_.checkInvariants)
         sim.attachTraceSink(&monitor);
     core::RunResult r;
-    std::shared_ptr<const core::CommitStream> stream;
+    // Record on reuse: the first simulated point of a program is
+    // driven by the interpreter (bit-identical to replay); later ones
+    // record the stream once and replay it. The path depends only on
+    // how many points of the program this runner has simulated.
+    bool reused = false;
     if (config_.useStreamReplay) {
-        stream = streamFor(point.app, point.config.compiler,
-                           point.entry, point.maxInstrs, mod);
+        std::lock_guard<std::mutex> lk(impl_->streamsMu);
+        reused = !impl_->programsSeen
+                      .insert(programKey(point.app, point.config.compiler,
+                                         point.entry))
+                      .second;
     }
-    if (stream) {
+    if (reused) {
+        auto stream = streamFor(point.app, point.config.compiler,
+                                point.entry, point.maxInstrs, mod);
         r = sim.runReplay(*stream, point.maxInstrs);
         impl_->replayedRuns.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -702,6 +714,7 @@ BatchRunner::clearMemoryCaches()
     impl_->streams.clear();
     impl_->streamOrder.clear();
     impl_->streamBytes = 0;
+    impl_->programsSeen.clear();
     impl_->ckptCache->clear();
 }
 

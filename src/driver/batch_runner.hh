@@ -18,6 +18,14 @@
  *     simulated once across *all* bench binaries and repeat
  *     invocations rather than once per process.
  *
+ * Commit streams (core/commit_stream.hh) are recorded on reuse. The
+ * first point of a program (app, compiler options, entry) this runner
+ * simulates is driven by the interpreter; the second and later ones
+ * record the program's stream once and replay it. Which path a point
+ * takes depends only on how many points of its program the runner
+ * has simulated, never on stream-cache contents, eviction or thread
+ * timing, so the path counts in stats() repeat for any jobs count.
+ *
  * Identical design points submitted concurrently are de-duplicated
  * in flight: the first caller computes, the rest wait on the same
  * future. Everything here is thread-safe; the previous bench-local
@@ -91,24 +99,28 @@ struct BatchConfig
      */
     bool checkInvariants = false;
     /**
-     * Record each (module, entry) commit stream once and drive every
-     * simulation of it from the stream instead of the interpreter
-     * (results, stats, and traces are bit-identical — the disk cache
-     * stays valid either way). Costs one functional run per distinct
-     * program; pays off as soon as a program is simulated under a
-     * second design point, which every sweep does.
+     * Drive the second and later simulations of a (module, entry)
+     * program from its recorded commit stream instead of the
+     * interpreter (results, stats, and traces are bit-identical — the
+     * disk cache stays valid either way). The first simulation of a
+     * program runs interpreted and records nothing: recording costs
+     * one functional run, which pays off only once the program is
+     * simulated under a second design point. False = always
+     * interpret.
      */
     bool useStreamReplay = true;
     /**
      * In-memory commit-stream cache bound in MiB; 0 = the
-     * CWSP_STREAM_CACHE_MB environment variable, falling back to 256.
+     * CWSP_STREAM_CACHE_MB environment variable (envCacheMb: a
+     * positive integer, else 256).
      * Oldest streams are evicted first (in-flight users keep theirs).
      */
     std::size_t streamCacheMb = 0;
     /**
      * Simulator-checkpoint cache bound in MiB (checkpoint-fork crash
      * sweeps, core/sim_checkpoint.hh); 0 = the CWSP_CKPT_CACHE_MB
-     * environment variable, falling back to 256. LRU checkpoints are
+     * environment variable (envCacheMb: a positive integer, else
+     * 256). LRU checkpoints are
      * evicted first; an evicted case re-executes from scratch.
      */
     std::size_t ckptCacheMb = 0;

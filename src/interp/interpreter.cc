@@ -300,15 +300,21 @@ ControlSnapshot
 Interpreter::snapshot() const
 {
     ControlSnapshot snap;
-    snap.frames = frames_;
+    appendSnapshotFrames(snap.frames);
+    return snap;
+}
+
+void
+Interpreter::appendSnapshotFrames(std::vector<Frame> &out) const
+{
+    cwsp_assert(!frames_.empty(), "snapshot with no frames");
+    out.insert(out.end(), frames_.begin(), frames_.end());
     // Rewind the top frame so resumption re-commits the current
     // (boundary) instruction: step() advanced index before the sink
     // callback ran.
-    cwsp_assert(!snap.frames.empty(), "snapshot with no frames");
-    Frame &top = snap.frames.back();
+    Frame &top = out.back();
     cwsp_assert(top.index > 0, "snapshot not inside a block");
     --top.index;
-    return snap;
 }
 
 ControlSnapshot

@@ -62,6 +62,13 @@ class Interpreter
     ControlSnapshot snapshot() const;
 
     /**
+     * Append snapshot()'s frames to @p out without building a
+     * ControlSnapshot (commit-stream recording flattens every
+     * boundary snapshot into one frame vector).
+     */
+    void appendSnapshotFrames(std::vector<Frame> &out) const;
+
+    /**
      * Snapshot the control state between steps, with no index rewind:
      * resumption continues at the next unexecuted instruction. Used
      * for battery-backed schemes whose residual energy persists the

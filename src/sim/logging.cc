@@ -1,9 +1,11 @@
 #include "sim/logging.hh"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 
 namespace cwsp {
@@ -73,5 +75,32 @@ informImpl(const std::string &msg)
 }
 
 } // namespace detail
+
+std::size_t
+envCacheMb(const char *var)
+{
+    constexpr std::size_t kDefaultMb = 256;
+    // Largest budget whose byte count still fits a size_t.
+    constexpr std::size_t kMaxMb = SIZE_MAX >> 20;
+    const char *env = std::getenv(var);
+    if (!env || !*env)
+        return kDefaultMb;
+    std::size_t mb = 0;
+    const char *p = env;
+    for (; *p >= '0' && *p <= '9'; ++p) {
+        mb = mb * 10 + static_cast<std::size_t>(*p - '0');
+        if (mb > kMaxMb)
+            break;
+    }
+    if (*p == '\0' && mb > 0)
+        return mb;
+    static std::mutex mu;
+    static std::set<std::string> warned;
+    std::lock_guard<std::mutex> lock(mu);
+    if (warned.insert(var).second)
+        cwsp_warn(var, "='", env, "' is not a positive integer number "
+                  "of MiB; using ", kDefaultMb);
+    return kDefaultMb;
+}
 
 } // namespace cwsp

@@ -8,6 +8,7 @@
 #ifndef CWSP_SIM_LOGGING_HH
 #define CWSP_SIM_LOGGING_HH
 
+#include <cstddef>
 #include <sstream>
 #include <string>
 
@@ -66,6 +67,14 @@ format(Args &&...args)
 /** Report normal operating status. */
 #define cwsp_inform(...) \
     ::cwsp::detail::informImpl(::cwsp::detail::format(__VA_ARGS__))
+
+/**
+ * Cache budget in MiB from environment variable @p var: 256 when it
+ * is unset or empty, its value when that is a positive decimal
+ * integer, and otherwise 256 with a warning naming @p var (issued
+ * once per variable per process).
+ */
+std::size_t envCacheMb(const char *var);
 
 /** Assert an internal invariant; compiled in all build types. */
 #define cwsp_assert(cond, ...) \

@@ -4,17 +4,22 @@
  * stream (WholeSystemSim::runReplay / the runWithCrashes replay path)
  * must be bit-identical to the interpreted run it was recorded from —
  * every RunResult field, the exported statistics JSON, the trace
- * stream, and (for crash sweeps) the full CrashRunResult.
+ * stream, and (for crash sweeps) the full CrashRunResult. The
+ * one-pass recorder is itself checked against a two-pass reference
+ * encoder, field by field.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/commit_stream.hh"
 #include "core/whole_system_sim.hh"
+#include "ir/parser.hh"
 #include "workloads/workload.hh"
 
 namespace cwsp {
@@ -197,6 +202,216 @@ TEST(ReplayEquiv, MismatchedStreamFallsBack)
     auto got = replay.runWithCrashes(threads, fault::CrashSchedule{500},
                                      {}, 200'000'000, &stream);
     expectSameCrashResult(ref, got);
+}
+
+/**
+ * Reference encoder: records every commit raw, then batches runs of
+ * constant-cost single-commit steps in a second pass. The recorder
+ * batches in one pass; both must produce the same stream.
+ */
+class RawRecordSink final : public interp::CommitSink
+{
+  public:
+    RawRecordSink(core::CommitStream &stream,
+                  const interp::Interpreter &interp)
+        : stream_(stream), interp_(interp)
+    {
+    }
+
+    void
+    onCommit(const interp::CommitInfo &info) override
+    {
+        core::CommitStream::Op op;
+        op.addr = info.addr;
+        op.value = info.storeValue;
+        op.func = info.func;
+        op.kind = static_cast<std::uint8_t>(info.kind);
+        if (newStep_)
+            op.flags |= core::CommitStream::kFlagNewStep;
+        newStep_ = false;
+        if (info.isCheckpoint)
+            op.flags |= core::CommitStream::kFlagCkpt;
+        if (info.kind == interp::CommitKind::Boundary) {
+            op.aux = info.staticRegion;
+            interp::ControlSnapshot snap = interp_.snapshot();
+            stream_.snapRefs.push_back(
+                {static_cast<std::uint32_t>(stream_.frames.size()),
+                 static_cast<std::uint32_t>(snap.frames.size())});
+            stream_.frames.insert(stream_.frames.end(),
+                                  snap.frames.begin(),
+                                  snap.frames.end());
+        }
+        stream_.ops.push_back(op);
+        ++stream_.commits;
+    }
+
+    void markNewStep() { newStep_ = true; }
+
+  private:
+    core::CommitStream &stream_;
+    const interp::Interpreter &interp_;
+    bool newStep_ = false;
+};
+
+core::CommitStream
+twoPassStream(const ir::Module &module)
+{
+    using Op = core::CommitStream::Op;
+    core::CommitStream raw;
+    interp::SparseMemory memory;
+    interp::Interpreter interp(module, memory, 0);
+    RawRecordSink sink(raw, interp);
+    interp.start("main", {}, sink);
+    while (!interp.finished()) {
+        sink.markNewStep();
+        interp.step(sink);
+        ++raw.steps;
+    }
+    raw.returnValue = interp.returnValue();
+
+    core::CommitStream out = raw;
+    out.ops.clear();
+    for (std::size_t i = 0; i < raw.ops.size(); ++i) {
+        const Op &op = raw.ops[i];
+        const bool single =
+            i + 1 == raw.ops.size() ||
+            (raw.ops[i + 1].flags & core::CommitStream::kFlagNewStep);
+        const auto k = static_cast<interp::CommitKind>(op.kind);
+        std::uint8_t bk = 0;
+        if (op.flags & core::CommitStream::kFlagNewStep) {
+            if (k == interp::CommitKind::Alu ||
+                k == interp::CommitKind::Branch)
+                bk = core::CommitStream::kBatch1;
+            else if (k == interp::CommitKind::CallRet && single)
+                bk = core::CommitStream::kBatch2;
+        }
+        if (bk == 0) {
+            out.ops.push_back(op);
+        } else if (!out.ops.empty() && out.ops.back().kind == bk) {
+            ++out.ops.back().aux;
+        } else {
+            Op b;
+            b.kind = bk;
+            b.flags = core::CommitStream::kFlagNewStep;
+            b.aux = 1;
+            out.ops.push_back(b);
+        }
+    }
+    return out;
+}
+
+bool
+sameOp(const core::CommitStream::Op &a, const core::CommitStream::Op &b)
+{
+    return a.addr == b.addr && a.value == b.value && a.func == b.func &&
+           a.aux == b.aux && a.kind == b.kind && a.flags == b.flags;
+}
+
+bool
+sameFrame(const interp::Frame &a, const interp::Frame &b)
+{
+    return a.regs == b.regs && a.func == b.func && a.block == b.block &&
+           a.index == b.index && a.returnDst == b.returnDst;
+}
+
+/** Field-by-field equality; reports the first differing element. */
+void
+expectSameStream(const core::CommitStream &want,
+                 const core::CommitStream &got)
+{
+    EXPECT_EQ(want.steps, got.steps);
+    EXPECT_EQ(want.commits, got.commits);
+    EXPECT_EQ(want.returnValue, got.returnValue);
+    ASSERT_EQ(want.ops.size(), got.ops.size());
+    for (std::size_t i = 0; i < want.ops.size(); ++i)
+        ASSERT_TRUE(sameOp(want.ops[i], got.ops[i])) << "op " << i;
+    ASSERT_EQ(want.frames.size(), got.frames.size());
+    for (std::size_t i = 0; i < want.frames.size(); ++i)
+        ASSERT_TRUE(sameFrame(want.frames[i], got.frames[i]))
+            << "frame " << i;
+    ASSERT_EQ(want.snapRefs.size(), got.snapRefs.size());
+    for (std::size_t i = 0; i < want.snapRefs.size(); ++i) {
+        EXPECT_EQ(want.snapRefs[i].begin, got.snapRefs[i].begin);
+        EXPECT_EQ(want.snapRefs[i].count, got.snapRefs[i].count);
+    }
+}
+
+/** The one-pass recorder matches the two-pass reference encoder. */
+TEST(RecorderOracle, MatchesTwoPassEncoder)
+{
+    std::vector<std::pair<std::string, std::string>> cases;
+    for (const auto &app : workloads::appTable())
+        cases.emplace_back(app.name, "cwsp");
+    for (const char *app : {"fft", "bzip2", "tpcc", "p"})
+        cases.emplace_back(app, "baseline");
+    for (const auto &[app, scheme] : cases) {
+        SCOPED_TRACE(app + "/" + scheme);
+        auto cfg = core::makeSystemConfig(scheme);
+        auto mod = workloads::buildApp(workloads::appByName(app),
+                                       cfg.compiler);
+        expectSameStream(twoPassStream(*mod),
+                         core::recordCommitStream(*mod, "main", {}));
+    }
+}
+
+/**
+ * Hand-built edge cases: adjacent kBatch1/kBatch2 runs, a bare Call
+ * (batches), a Call with argument spills (does not), and a trailing
+ * bare Ret that ends the stream.
+ */
+TEST(RecorderOracle, HandBuiltBatchingEdges)
+{
+    auto mod = ir::parseModule(R"(
+func noargs(0 params)
+bb0:
+  movi r1, 3
+  ret r1
+func twoargs(2 params)
+bb0:
+  add r2, r0, r1
+  ret r2
+func main(0 params)
+bb0:
+  movi r1, 1
+  movi r2, 2
+  call r3, f0()
+  call r4, f1(r1, r2)
+  st r4, [r31+8]
+  ret r4
+)");
+    auto got = core::recordCommitStream(*mod, "main", {});
+    expectSameStream(twoPassStream(*mod), got);
+
+    using S = core::CommitStream;
+    const auto callRet =
+        static_cast<std::uint8_t>(interp::CommitKind::CallRet);
+    const auto store = static_cast<std::uint8_t>(interp::CommitKind::Store);
+    // (kind, aux, flags) per op.
+    const std::vector<std::tuple<std::uint8_t, std::uint32_t,
+                                 std::uint8_t>>
+        want = {
+            {S::kBatch1, 2, S::kFlagNewStep}, // movi, movi
+            {S::kBatch2, 1, S::kFlagNewStep}, // call f0()
+            {S::kBatch1, 1, S::kFlagNewStep}, // movi in noargs
+            {S::kBatch2, 1, S::kFlagNewStep}, // ret to main
+            {callRet, 0, S::kFlagNewStep},    // call f1 (spills)
+            {store, 0, S::kFlagCkpt},         // spill r1
+            {store, 0, S::kFlagCkpt},         // spill r2
+            {S::kBatch1, 1, S::kFlagNewStep}, // add
+            {S::kBatch2, 1, S::kFlagNewStep}, // ret to main
+            {store, 0, S::kFlagNewStep},      // st
+            {S::kBatch2, 1, S::kFlagNewStep}, // trailing ret
+        };
+    ASSERT_EQ(got.ops.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("op " + std::to_string(i));
+        EXPECT_EQ(got.ops[i].kind, std::get<0>(want[i]));
+        EXPECT_EQ(got.ops[i].aux, std::get<1>(want[i]));
+        EXPECT_EQ(got.ops[i].flags, std::get<2>(want[i]));
+    }
+    EXPECT_EQ(got.steps, 10u);
+    EXPECT_EQ(got.commits, 12u);
+    EXPECT_EQ(got.returnValue, 3u);
 }
 
 } // namespace

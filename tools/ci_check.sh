@@ -50,6 +50,14 @@ for san in "${SANITIZERS[@]}"; do
     # instead of disappearing into the suite summary.
     "$dir"/tests/test_replay_equiv --gtest_filter=\
 'ReplayEquiv.TraceStreamsIdentical:ReplayEquiv.CrashSweepIdentical'
+    echo "== $san: recorder oracle + stream policy =="
+    # The one-pass commit-stream recorder must match the two-pass
+    # reference encoder field by field, and BatchRunner's
+    # record-on-reuse policy must give the same path counts and
+    # results for jobs 1 and 4 — the jobs=4 case runs the shared
+    # demand set and stream cache concurrently under the sanitizer.
+    "$dir"/tests/test_replay_equiv --gtest_filter='RecorderOracle.*'
+    "$dir"/tests/test_batch_runner --gtest_filter='StreamPolicy.*'
     echo "== $san: invariant smoke (every scheme) =="
     # Online protocol checking over a small batch: attaches the
     # obs::InvariantMonitor to each simulation and fails on any
