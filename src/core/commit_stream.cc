@@ -15,19 +15,24 @@ using interp::CommitKind;
  * constant-cost steps in the same pass. One raw op is held back: a
  * CallRet batches only when it is a whole step, i.e. when the next
  * commit starts a new step (a Call's argument spills share its step).
+ * Optionally forwards every commit to a second sink as well (the
+ * golden run's device-output log).
  */
 class StreamRecordSink final : public interp::CommitSink
 {
   public:
     StreamRecordSink(CommitStream &stream,
-                     const interp::Interpreter &interp)
-        : stream_(stream), interp_(interp)
+                     const interp::Interpreter &interp,
+                     interp::CommitSink *tee = nullptr)
+        : stream_(stream), interp_(interp), tee_(tee)
     {
     }
 
     void
     onCommit(const interp::CommitInfo &info) override
     {
+        if (tee_)
+            tee_->onCommit(info);
         if (held_)
             emit(newStep_);
         CommitStream::Op &op = pending_;
@@ -102,10 +107,69 @@ class StreamRecordSink final : public interp::CommitSink
 
     CommitStream &stream_;
     const interp::Interpreter &interp_;
+    interp::CommitSink *tee_;
     CommitStream::Op pending_;
     bool held_ = false;
     bool newStep_ = false;
 };
+
+/**
+ * Interpret @p entry to completion over @p memory, feeding every
+ * commit to @p tee (when set) and, with @p stream set, compiling the
+ * commit sequence into it; at least one of the two must be set.
+ * Returns the entry's return value.
+ */
+Word
+interpretOnce(const ir::Module &module, const std::string &entry,
+              const std::vector<Word> &args, std::uint64_t max_instrs,
+              std::uint64_t expected_instrs,
+              interp::SparseMemory &memory, CommitStream *stream,
+              interp::CommitSink *tee)
+{
+    interp::Interpreter interp(module, memory, 0);
+    if (!stream) {
+        interp.start(entry, args, *tee);
+        for (std::uint64_t steps = 0; !interp.finished();) {
+            interp.step(*tee);
+            if (++steps > max_instrs)
+                cwsp_fatal("instruction budget exceeded (", max_instrs,
+                           ") in ", entry);
+        }
+        return interp.returnValue();
+    }
+
+    stream->module = &module;
+    stream->entry = entry;
+    stream->args = args;
+    if (expected_instrs != 0) {
+        // Batching folds most steps away: the paper apps' streams
+        // hold 0.07-1.0 ops per hinted instruction, 0.25 at the
+        // median. Cap so an inflated hint cannot balloon memory.
+        constexpr std::uint64_t kMaxOpReserve = std::uint64_t{1} << 21;
+        stream->ops.reserve(static_cast<std::size_t>(
+            std::min(expected_instrs / 2, kMaxOpReserve)));
+    }
+
+    StreamRecordSink sink(*stream, interp, tee);
+    // start()'s argument-spill stores run before the step loop, so
+    // they carry no new-step flag: replay applies them before the
+    // first crash check, exactly as the interpreted path does.
+    interp.start(entry, args, sink);
+    while (!interp.finished()) {
+        sink.markNewStep();
+        interp.step(sink);
+        if (++stream->steps > max_instrs)
+            cwsp_fatal("instruction budget exceeded (", max_instrs,
+                       ") while recording ", entry);
+    }
+    sink.finish();
+    stream->returnValue = interp.returnValue();
+
+    stream->ops.shrink_to_fit();
+    stream->frames.shrink_to_fit();
+    stream->snapRefs.shrink_to_fit();
+    return stream->returnValue;
+}
 
 } // namespace
 
@@ -116,39 +180,23 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
                    std::uint64_t expected_instrs)
 {
     CommitStream stream;
-    stream.module = &module;
-    stream.entry = entry;
-    stream.args = args;
-    if (expected_instrs != 0) {
-        // Batching folds most steps away: the paper apps' streams
-        // hold 0.07-1.0 ops per hinted instruction, 0.25 at the
-        // median. Cap so an inflated hint cannot balloon memory.
-        constexpr std::uint64_t kMaxOpReserve = std::uint64_t{1} << 21;
-        stream.ops.reserve(static_cast<std::size_t>(
-            std::min(expected_instrs / 2, kMaxOpReserve)));
-    }
-
     interp::SparseMemory memory;
-    interp::Interpreter interp(module, memory, 0);
-    StreamRecordSink sink(stream, interp);
-    // start()'s argument-spill stores run before the step loop, so
-    // they carry no new-step flag: replay applies them before the
-    // first crash check, exactly as the interpreted path does.
-    interp.start(entry, args, sink);
-    while (!interp.finished()) {
-        sink.markNewStep();
-        interp.step(sink);
-        if (++stream.steps > max_instrs)
-            cwsp_fatal("instruction budget exceeded (", max_instrs,
-                       ") while recording ", entry);
-    }
-    sink.finish();
-    stream.returnValue = interp.returnValue();
-
-    stream.ops.shrink_to_fit();
-    stream.frames.shrink_to_fit();
-    stream.snapRefs.shrink_to_fit();
+    interpretOnce(module, entry, args, max_instrs, expected_instrs,
+                  memory, &stream, nullptr);
     return stream;
+}
+
+GoldenRun
+goldenRun(const ir::Module &module, const std::string &entry,
+          const std::vector<Word> &args, std::uint64_t max_instrs,
+          std::uint64_t expected_instrs, bool record)
+{
+    GoldenRun g;
+    IoLogSink io(g.io);
+    g.returnValue =
+        interpretOnce(module, entry, args, max_instrs, expected_instrs,
+                      g.memory, record ? &g.stream : nullptr, &io);
+    return g;
 }
 
 } // namespace cwsp::core

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/scheme.hh"
 #include "interp/interpreter.hh"
 #include "ir/ir.hh"
 #include "sim/types.hh"
@@ -119,6 +120,47 @@ CommitStream recordCommitStream(const ir::Module &module,
                                 std::uint64_t max_instrs =
                                     2'000'000'000,
                                 std::uint64_t expected_instrs = 0);
+
+/** Commit sink that logs device output (Io commits) and nothing else. */
+class IoLogSink final : public interp::CommitSink
+{
+  public:
+    explicit IoLogSink(std::vector<arch::IoRecord> &io) : io_(io) {}
+
+    void
+    onCommit(const interp::CommitInfo &info) override
+    {
+        if (info.kind == interp::CommitKind::Io) {
+            io_.push_back(arch::IoRecord{info.addr, info.storeValue, 0,
+                                         info.core});
+        }
+    }
+
+  private:
+    std::vector<arch::IoRecord> &io_;
+};
+
+/** Everything one functional golden run of a program yields. */
+struct GoldenRun
+{
+    interp::SparseMemory memory; ///< final architectural memory
+    Word returnValue = 0;
+    std::vector<arch::IoRecord> io; ///< device-output stream
+    /** The compiled commit stream; empty unless recorded. */
+    CommitStream stream;
+};
+
+/**
+ * Run @p entry functionally once and keep its final memory, return
+ * value and device output, plus (when @p record) its commit stream —
+ * the same results runToCompletion(), collectIoStream() and
+ * recordCommitStream() give, from one interpretation instead of
+ * three. Budget and @p expected_instrs as in recordCommitStream().
+ */
+GoldenRun goldenRun(const ir::Module &module, const std::string &entry,
+                    const std::vector<Word> &args,
+                    std::uint64_t max_instrs,
+                    std::uint64_t expected_instrs, bool record);
 
 } // namespace cwsp::core
 

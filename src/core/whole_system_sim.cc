@@ -57,33 +57,22 @@ class RecordingSink final : public interp::CommitSink
     std::vector<std::vector<RegionId>> ring_;
 };
 
-/** Sink that forwards to an inner sink and collects Io commits. */
-class IoCollectingSink final : public interp::CommitSink
-{
-  public:
-    explicit IoCollectingSink(std::vector<arch::IoRecord> &out,
-                              interp::CommitSink *inner = nullptr)
-        : out_(out), inner_(inner)
-    {
-    }
-
-    void
-    onCommit(const interp::CommitInfo &info) override
-    {
-        if (inner_)
-            inner_->onCommit(info);
-        if (info.kind == interp::CommitKind::Io) {
-            out_.push_back(arch::IoRecord{info.addr, info.storeValue,
-                                          0, info.core});
-        }
-    }
-
-  private:
-    std::vector<arch::IoRecord> &out_;
-    interp::CommitSink *inner_;
-};
-
 } // namespace
+
+const char *
+forkFallbackName(ForkFallback f)
+{
+    switch (f) {
+      case ForkFallback::None: return "none";
+      case ForkFallback::Missing: return "missing";
+      case ForkFallback::Identity: return "identity";
+      case ForkFallback::Tick: return "tick";
+      case ForkFallback::Sink: return "sink";
+      case ForkFallback::TraceGeometry: return "trace_geometry";
+      case ForkFallback::SamplerGeometry: return "sampler_geometry";
+    }
+    return "?";
+}
 
 const char *
 recoveryPhaseName(RecoveryPhase p)
@@ -192,18 +181,7 @@ std::vector<arch::IoRecord>
 collectIoStream(const ir::Module &module, const std::string &entry,
                 const std::vector<Word> &args)
 {
-    std::vector<arch::IoRecord> stream;
-    interp::SparseMemory memory;
-    IoCollectingSink sink(stream);
-    interp::Interpreter interp(module, memory, 0);
-    interp.start(entry, args, sink);
-    std::uint64_t budget = 200'000'000;
-    while (!interp.finished()) {
-        if (interp.committed() >= budget)
-            cwsp_fatal("instruction budget exceeded in ", entry);
-        interp.step(sink);
-    }
-    return stream;
+    return goldenRun(module, entry, args, 200'000'000, 0, false).io;
 }
 
 WholeSystemSim::WholeSystemSim(const ir::Module &module,
@@ -706,33 +684,36 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     // external trace sink must observe the prefix events (which a
     // fork skips), and an attached trace ring must match the captured
     // geometry; any mismatch falls back to from-scratch execution.
-    if (fork) {
-        bool usable = fork->module == module_ &&
-                      fork->schemeName == config_.scheme.name &&
-                      fork->threads.size() == n &&
-                      fork->crashTick == schedule.ticks[0] && !sink_;
-        for (std::size_t c = 0; usable && c < n; ++c) {
-            usable = fork->threads[c].entry == threads[c].entry &&
-                     fork->threads[c].args == threads[c].args;
-        }
-        if (trace_ &&
-            (!fork->hasTrace ||
-             fork->traceCapacity != trace_->capacity() ||
-             fork->traceMask != trace_->mask())) {
-            usable = false;
-        }
-        if (sampler_ &&
-            (!fork->hasSampler ||
-             fork->samplerPeriod != sampler_->period() ||
-             fork->samplerTracks != sampler_->trackCount())) {
-            usable = false;
-        }
-        if (!usable)
-            fork = nullptr;
-    }
-
     CrashRunResult out;
     out.crashTick = schedule.ticks[0];
+    if (fork) {
+        bool same = fork->module == module_ &&
+                    fork->schemeName == config_.scheme.name &&
+                    fork->threads.size() == n;
+        for (std::size_t c = 0; same && c < n; ++c) {
+            same = fork->threads[c].entry == threads[c].entry &&
+                   fork->threads[c].args == threads[c].args;
+        }
+        if (!same)
+            out.fork = ForkFallback::Identity;
+        else if (fork->crashTick != schedule.ticks[0])
+            out.fork = ForkFallback::Tick;
+        else if (sink_)
+            out.fork = ForkFallback::Sink;
+        else if (trace_ && (!fork->hasTrace ||
+                            fork->traceCapacity != trace_->capacity() ||
+                            fork->traceMask != trace_->mask()))
+            out.fork = ForkFallback::TraceGeometry;
+        else if (sampler_ &&
+                 (!fork->hasSampler ||
+                  fork->samplerPeriod != sampler_->period() ||
+                  fork->samplerTracks != sampler_->trackCount()))
+            out.fork = ForkFallback::SamplerGeometry;
+        else
+            out.fork = ForkFallback::None;
+        if (out.fork != ForkFallback::None)
+            fork = nullptr;
+    }
 
     // Epoch state: the durable NVM image, the stamped checkpoint-slot
     // image of the latest failure, and each core's entry action.
@@ -1290,7 +1271,7 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     // recovered image (no further failures scheduled).
     auto recovered =
         std::make_unique<interp::SparseMemory>(std::move(durable));
-    IoCollectingSink null_sink(out.ioStream);
+    IoLogSink null_sink(out.ioStream);
     std::vector<std::unique_ptr<interp::Interpreter>> post(n);
     bool retry = true;
     while (retry) {

@@ -120,9 +120,31 @@ struct RecordingBundle
     std::map<RegionId, interp::ControlSnapshot> snapshots;
 };
 
+/**
+ * Why runWithCrashes() ran its first epoch from scratch instead of
+ * forking it from a checkpoint (None: it forked).
+ */
+enum class ForkFallback : std::uint8_t
+{
+    None = 0,        ///< forked from the checkpoint
+    Missing,         ///< no checkpoint was supplied
+    Identity,        ///< other program, scheme or thread set
+    Tick,            ///< captured for another first crash tick
+    Sink,            ///< an external trace sink must see the prefix
+    TraceGeometry,   ///< attached trace ring differs from the capture
+    SamplerGeometry, ///< attached sampler differs from the capture
+};
+
+constexpr std::size_t kNumForkFallbacks = 7;
+
+/** Stable name ("none", "missing", "identity", ...). */
+const char *forkFallbackName(ForkFallback f);
+
 /** Outcome of a crash-and-recover run. */
 struct CrashRunResult
 {
+    /** Whether the first epoch forked, and if not, why. */
+    ForkFallback fork = ForkFallback::Missing;
     RunResult result;          ///< post-recovery completion
     bool crashed = false;      ///< false: program finished before X
     Tick crashTick = 0;
@@ -281,8 +303,9 @@ class WholeSystemSim
      * statistic, and trace byte stays identical while the sweep cost
      * drops from O(prefix + tail) to O(tail). Ignored (from-scratch
      * execution) on any identity/tick mismatch, when an external
-     * trace sink is attached, or when an attached trace buffer's
-     * geometry differs from the captured one.
+     * trace sink is attached, or when an attached trace buffer's or
+     * sampler's geometry differs from the captured one;
+     * CrashRunResult::fork names the reason.
      */
     CrashRunResult runWithCrashes(
         const std::vector<ThreadSpec> &threads,

@@ -206,9 +206,10 @@ class BatchRunner
 
     /**
      * Shared simulator-checkpoint cache (checkpoint-fork crash
-     * sweeps). Thread-safe; the fault campaign's golden pass
-     * populates it and every worker's cases fork from it, bounded by
-     * BatchConfig::ckptCacheMb.
+     * sweeps) for drivers that share checkpoints across the pool by
+     * key. Thread-safe, bounded by BatchConfig::ckptCacheMb. The
+     * fault campaign does not use it: each of its contexts owns its
+     * checkpoints and frees them after its last case.
      */
     core::CheckpointCache &checkpointCache();
 

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "core/consistency_checker.hh"
 #include "core/sim_checkpoint.hh"
@@ -220,8 +224,18 @@ struct Context
     core::CommitStream stream;
     bool hasStream = false;
     CrashPointSet points;
-    /** Campaign-wide checkpoint cache (null = forking disabled). */
-    core::CheckpointCache *ckptCache = nullptr;
+    /**
+     * Forked mode: the golden pass's checkpoints, one per distinct
+     * first crash tick of this context's cases. Released, with the
+     * stream, when the context's last case finishes; the shrinker
+     * then runs from scratch.
+     */
+    bool forked = false;
+    CheckpointMap checkpoints;
+    std::size_t checkpointBytes = 0;
+    /** This context's cases in deterministic order, then results. */
+    std::vector<CaseResult> results;
+    std::size_t casesLeft = 0;
     /**
      * Concurrent contexts (one per interleaving schedule): thread
      * roster, structure spec, and per-worker op sequences for the
@@ -235,13 +249,6 @@ struct Context
     std::vector<std::vector<workloads::ConcurrentOp>> cops;
 };
 
-/** Cache key prefix of @p ctx's checkpoints ("<app>|<scheme>"). */
-std::string
-ckptKeyBaseOf(const Context &ctx)
-{
-    return ctx.app + "|" + ctx.scheme;
-}
-
 GoldenRef
 refOf(const Context &ctx)
 {
@@ -252,9 +259,7 @@ refOf(const Context &ctx)
     g.memory = &ctx.goldenMemory;
     g.ioStream = &ctx.goldenIo;
     g.stream = ctx.hasStream ? &ctx.stream : nullptr;
-    g.ckptCache = ctx.ckptCache;
-    if (ctx.ckptCache)
-        g.ckptKeyBase = ckptKeyBaseOf(ctx);
+    g.checkpoints = ctx.forked ? &ctx.checkpoints : nullptr;
     g.threads = &ctx.threads;
     if (ctx.concurrent) {
         g.dlSpec = &ctx.cspec;
@@ -347,54 +352,6 @@ casesFor(const Context &ctx, const CampaignOptions &opt)
     return cases;
 }
 
-/**
- * Greedy auto-shrink: drop trailing schedule entries and individual
- * faults while the case still fails. Returns the minimal repro.
- */
-CaseResult
-shrinkCase(const CaseResult &failing, const GoldenRef &golden,
-           std::uint64_t max_instrs, std::size_t &runs)
-{
-    CaseResult best = failing;
-    bool improved = true;
-    while (improved && runs < 32) {
-        improved = false;
-        std::vector<CampaignCase> candidates;
-        if (best.c.schedule.size() > 1) {
-            CampaignCase c = best.c;
-            c.schedule.ticks.pop_back();
-            candidates.push_back(std::move(c));
-        }
-        if (best.c.interleave.seed != 0) {
-            // Is the interleaving schedule part of the minimal
-            // repro, or does the failure reproduce under the
-            // unjittered legacy timing too?
-            CampaignCase c = best.c;
-            c.ilvIndex = 0;
-            c.interleave = arch::InterleaveConfig{};
-            candidates.push_back(std::move(c));
-        }
-        for (std::size_t i = 0; i < best.c.plan.faults.size(); ++i) {
-            CampaignCase c = best.c;
-            c.plan.faults.erase(c.plan.faults.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-            candidates.push_back(std::move(c));
-        }
-        for (const auto &cand : candidates) {
-            ++runs;
-            CaseResult r = runCase(cand, golden, max_instrs);
-            if (!r.pass) {
-                best = std::move(r);
-                improved = true;
-                break;
-            }
-            if (runs >= 32)
-                break;
-        }
-    }
-    return best;
-}
-
 } // namespace
 
 void
@@ -413,6 +370,31 @@ RecoveryHistogram::add(std::uint64_t v)
         max = v;
     total += v;
     ++samples;
+}
+
+void
+CkptCacheReport::note(core::ForkFallback f)
+{
+    if (f == core::ForkFallback::None) {
+        ++forks;
+        return;
+    }
+    ++fallbacks;
+    ++fallbackReasons[static_cast<std::size_t>(f)];
+}
+
+std::string
+CkptCacheReport::reasonsBrief() const
+{
+    std::string out;
+    for (std::size_t f = 1; f < core::kNumForkFallbacks; ++f) {
+        if (fallbackReasons[f] == 0)
+            continue;
+        out += (out.empty() ? " (" : ", ");
+        out += core::forkFallbackName(static_cast<core::ForkFallback>(f));
+        out += " " + std::to_string(fallbackReasons[f]);
+    }
+    return out.empty() ? out : out + ")";
 }
 
 const std::vector<std::string> &
@@ -458,22 +440,21 @@ runCase(const CampaignCase &c, const GoldenRef &golden,
         if (golden.dlSpec)
             sim.setCaptureFirstCrash(true);
         // Forked mode: restore the pre-crash prefix from the golden
-        // pass's checkpoint instead of re-executing it. A miss
-        // (evicted under the byte cap, or never captured) degrades to
-        // from-scratch execution — identical verdict, more cycles.
-        std::shared_ptr<const core::SimCheckpoint> fork;
-        if (golden.ckptCache && !c.schedule.empty()) {
-            fork = golden.ckptCache->get(
-                golden.ckptKeyBase + ":" +
-                std::to_string(c.schedule.ticks[0]));
-            if (fork)
-                golden.ckptCache->noteFork();
-            else
-                golden.ckptCache->noteFallback();
+        // pass's checkpoint instead of re-executing it. A miss (never
+        // captured, or released with its context) or a checkpoint
+        // the sim rejects degrades to from-scratch execution —
+        // identical verdict, more cycles — and out.fork says why.
+        const core::SimCheckpoint *fork = nullptr;
+        const bool lookup = golden.checkpoints && !c.schedule.empty();
+        if (lookup) {
+            auto it = golden.checkpoints->find(c.schedule.ticks[0]);
+            if (it != golden.checkpoints->end())
+                fork = it->second.get();
         }
-        auto out =
-            sim.runWithCrashes(threads, c.schedule, c.plan,
-                               max_instrs, golden.stream, fork.get());
+        auto out = sim.runWithCrashes(threads, c.schedule, c.plan,
+                                      max_instrs, golden.stream, fork);
+        r.forkLookup = lookup;
+        r.fork = out.fork;
         r.ran = true;
         r.crashed = out.crashed;
         r.faults = out.faults;
@@ -587,6 +568,136 @@ runCase(const CampaignCase &c, const GoldenRef &golden,
     return r;
 }
 
+CaseResult
+shrinkCase(const CaseResult &failing, const GoldenRef &golden,
+           std::uint64_t max_instrs, std::size_t &runs)
+{
+    CaseResult best = failing;
+    bool improved = true;
+    while (improved && runs < 32) {
+        improved = false;
+        std::vector<CampaignCase> candidates;
+        if (best.c.schedule.size() > 1) {
+            CampaignCase c = best.c;
+            c.schedule.ticks.pop_back();
+            candidates.push_back(std::move(c));
+        }
+        if (best.c.interleave.seed != 0) {
+            // Is the interleaving schedule part of the minimal
+            // repro, or does the failure reproduce under the
+            // unjittered legacy timing too?
+            CampaignCase c = best.c;
+            c.ilvIndex = 0;
+            c.interleave = arch::InterleaveConfig{};
+            candidates.push_back(std::move(c));
+        }
+        for (std::size_t i = 0; i < best.c.plan.faults.size(); ++i) {
+            CampaignCase c = best.c;
+            c.plan.faults.erase(c.plan.faults.begin() +
+                                static_cast<std::ptrdiff_t>(i));
+            candidates.push_back(std::move(c));
+        }
+        for (const auto &cand : candidates) {
+            ++runs;
+            CaseResult r = runCase(cand, golden, max_instrs);
+            if (!r.pass) {
+                best = std::move(r);
+                improved = true;
+                break;
+            }
+            if (runs >= 32)
+                break;
+        }
+    }
+    return best;
+}
+
+namespace {
+
+/**
+ * Golden pass of one context: compile, one functional run (final
+ * memory, return value, device output and — for replayable schemes —
+ * the commit stream), replay-driven crash-point enumeration, then the
+ * fault-free timed run, which in forked mode also captures a
+ * checkpoint at every first crash tick the context's cases will use
+ * (nested/media cases all pivot on an enumerated point, so the point
+ * ticks cover them). Self-contained: touches only @p ctx.
+ */
+void
+prepareContext(Context &ctx, const CampaignOptions &options)
+{
+    ctx.config = core::makeSystemConfig(ctx.scheme);
+    if (ctx.concurrent) {
+        // Multicore golden run: fault-free timing plus the reference
+        // worker return value (each worker deterministically finishes
+        // opsPerWorker ops). Commit-stream replay and checkpoint
+        // forking are single-core machineries and stay off; the
+        // durable-lin verdict replaces the differential checks.
+        const auto *cp = workloads::findConcurrentApp(ctx.app);
+        ctx.config.numCores = cp->params.numWorkers;
+        ctx.config.scheme.interleave = core::interleaveSchedule(
+            options.interleaveSeed, ctx.ilvIndex);
+        ctx.config.scheme.bugCasSkipPersist = options.seedCasBug;
+        ctx.module =
+            workloads::buildConcurrentApp(*cp, ctx.config.compiler);
+        ctx.cspec = workloads::concurrentSpec(*ctx.module, *cp);
+        ctx.threads.clear();
+        for (std::uint32_t t = 0; t < cp->params.numWorkers; ++t) {
+            ctx.cops.push_back(workloads::concurrentOps(*cp, t));
+            ctx.threads.push_back(core::ThreadSpec{"worker", {Word{t}}});
+        }
+        core::WholeSystemSim sim(*ctx.module, ctx.config);
+        ctx.goldenCycles = sim.run(ctx.threads, options.maxInstrs).cycles;
+        ctx.goldenResult = cp->params.opsPerWorker;
+        ctx.points = enumerateCrashPoints(*ctx.module, ctx.config,
+                                          ctx.threads,
+                                          options.pointsPerKind);
+        return;
+    }
+    const auto &profile = workloads::appByName(ctx.app);
+    ctx.module = workloads::buildApp(profile, ctx.config.compiler);
+    // Battery-backed schemes never replay (they need a live snapshot
+    // at the crash instant), so their golden run records no stream.
+    core::GoldenRun golden = core::goldenRun(
+        *ctx.module, "main", {}, options.maxInstrs,
+        workloads::estimatedInstrs(profile),
+        !ctx.config.scheme.batteryBacked);
+    ctx.goldenResult = golden.returnValue;
+    ctx.goldenMemory = std::move(golden.memory);
+    ctx.goldenIo = std::move(golden.io);
+    ctx.hasStream = golden.stream.module != nullptr;
+    ctx.stream = std::move(golden.stream);
+    const core::CommitStream *stream = ctx.hasStream ? &ctx.stream : nullptr;
+    ctx.points = enumerateCrashPoints(*ctx.module, ctx.config,
+                                      {core::ThreadSpec{}},
+                                      options.pointsPerKind, stream);
+
+    core::WholeSystemSim sim(*ctx.module, ctx.config);
+    if (!options.forkCheckpoints || ctx.points.points.empty()) {
+        // Stream-driven when available: a fraction of an interpreted
+        // run.
+        ctx.goldenCycles =
+            stream ? sim.runReplay(*stream, options.maxInstrs).cycles
+                   : sim.run("main", {}, options.maxInstrs).cycles;
+        return;
+    }
+    std::vector<Tick> ticks;
+    for (const auto &p : ctx.points.points)
+        ticks.push_back(p.tick);
+    std::sort(ticks.begin(), ticks.end());
+    ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
+    auto cr = sim.captureCheckpoints({core::ThreadSpec{}}, ticks,
+                                     options.maxInstrs, stream);
+    ctx.goldenCycles = cr.result.cycles;
+    for (auto &ck : cr.checkpoints) {
+        ctx.checkpointBytes += ck->bytes();
+        ctx.checkpoints.emplace(ck->crashTick, std::move(ck));
+    }
+    ctx.forked = true;
+}
+
+} // namespace
+
 CampaignReport
 runCampaign(const CampaignOptions &options)
 {
@@ -595,186 +706,135 @@ runCampaign(const CampaignOptions &options)
     const std::vector<std::string> &schemes =
         options.schemes.empty() ? allSchemeNames() : options.schemes;
 
-    driver::BatchConfig bc;
-    bc.jobs = options.jobs;
-    bc.useDiskCache = false;
-    driver::BatchRunner pool(bc);
-
-    // One campaign-wide checkpoint cache (the pool's, shared
-    // read-only across its workers); every context's golden pass
-    // populates it, every case forks from it. Byte-capped by
-    // CWSP_CKPT_CACHE_MB; evictions surface as fallbacks.
-    core::CheckpointCache *ckptCache =
-        options.forkCheckpoints ? &pool.checkpointCache() : nullptr;
-
-    // Phase 1: golden runs + crash-point enumeration, one context per
-    // (app, scheme) slot — concurrent apps get one slot per
-    // interleaving schedule — parallel, each self-contained.
+    // One context per (app, scheme) slot — concurrent apps get one
+    // slot per interleaving schedule.
     std::vector<Context> contexts;
-    for (std::size_t a = 0; a < options.apps.size(); ++a) {
-        const bool conc =
-            workloads::findConcurrentApp(options.apps[a]) != nullptr;
+    for (const auto &app : options.apps) {
+        const bool conc = workloads::findConcurrentApp(app) != nullptr;
         const std::uint32_t slots =
-            conc ? std::max<std::uint32_t>(1, options.numSchedules)
-                 : 1;
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
+            conc ? std::max<std::uint32_t>(1, options.numSchedules) : 1;
+        for (const auto &scheme : schemes) {
             for (std::uint32_t k = 0; k < slots; ++k) {
                 Context ctx;
-                ctx.app = options.apps[a];
-                ctx.scheme = schemes[s];
+                ctx.app = app;
+                ctx.scheme = scheme;
                 ctx.concurrent = conc;
                 ctx.ilvIndex = k;
                 contexts.push_back(std::move(ctx));
             }
         }
     }
+
+    // One worker loop over golden passes and cases. A worker runs a
+    // ready case when there is one and prepares the next context only
+    // when there is none, so about `jobs` contexts are live at once:
+    // each context's checkpoints and stream are captured shortly
+    // before its cases fork from them and released right after its
+    // last case. Results land in their context's slot, so the report
+    // is independent of the jobs count.
+    CkptCacheReport ledger;
+    ledger.enabled = options.forkCheckpoints;
     {
-        std::vector<std::function<void()>> prep;
-        for (Context &ctxSlot : contexts) {
-            {
-                Context &ctx = ctxSlot;
-                prep.push_back([&ctx, &options,
-                                cache = ckptCache]() {
-                    ctx.config = core::makeSystemConfig(ctx.scheme);
-                    if (ctx.concurrent) {
-                        // Multicore golden run: fault-free timing
-                        // plus the reference worker return value
-                        // (each worker deterministically finishes
-                        // opsPerWorker ops). Commit-stream replay and
-                        // checkpoint forking are single-core
-                        // machineries and stay off; the durable-lin
-                        // verdict replaces the differential checks.
-                        const auto *cp =
-                            workloads::findConcurrentApp(ctx.app);
-                        ctx.config.numCores = cp->params.numWorkers;
-                        ctx.config.scheme.interleave =
-                            core::interleaveSchedule(
-                                options.interleaveSeed, ctx.ilvIndex);
-                        ctx.config.scheme.bugCasSkipPersist =
-                            options.seedCasBug;
-                        ctx.module = workloads::buildConcurrentApp(
-                            *cp, ctx.config.compiler);
-                        ctx.cspec = workloads::concurrentSpec(
-                            *ctx.module, *cp);
-                        ctx.threads.clear();
-                        for (std::uint32_t t = 0;
-                             t < cp->params.numWorkers; ++t) {
-                            ctx.cops.push_back(
-                                workloads::concurrentOps(*cp, t));
-                            ctx.threads.push_back(core::ThreadSpec{
-                                "worker", {Word{t}}});
-                        }
-                        core::WholeSystemSim sim(*ctx.module,
-                                                 ctx.config);
-                        ctx.goldenCycles =
-                            sim.run(ctx.threads, options.maxInstrs)
-                                .cycles;
-                        ctx.goldenResult = cp->params.opsPerWorker;
-                        ctx.points = enumerateCrashPoints(
-                            *ctx.module, ctx.config, ctx.threads,
-                            options.pointsPerKind);
-                        return;
-                    }
-                    const auto &profile =
-                        workloads::appByName(ctx.app);
-                    ctx.module = workloads::buildApp(
-                        profile, ctx.config.compiler);
-                    ctx.goldenResult = interp::runToCompletion(
-                        *ctx.module, ctx.goldenMemory, "main", {});
-                    ctx.goldenIo = core::collectIoStream(
-                        *ctx.module, "main", {});
-                    // Record the commit stream once; every case of
-                    // this context then replays its pristine epochs
-                    // instead of re-interpreting them. Battery-backed
-                    // schemes never replay (they need a live snapshot
-                    // at the crash instant), so skip the recording.
-                    if (!ctx.config.scheme.batteryBacked) {
-                        ctx.stream = core::recordCommitStream(
-                            *ctx.module, "main", {},
-                            options.maxInstrs,
-                            workloads::estimatedInstrs(profile));
-                        ctx.hasStream = true;
-                    }
-                    ctx.points = enumerateCrashPoints(
-                        *ctx.module, ctx.config, {core::ThreadSpec{}},
-                        options.pointsPerKind);
-                    // Forked mode: one more pass over the golden
-                    // schedule captures a checkpoint at every first
-                    // crash tick any of this context's cases will
-                    // use (nested/media cases all pivot on an
-                    // enumerated point, so the point ticks cover
-                    // them). Cost: one run per context, amortized
-                    // over its ~dozen cases.
-                    if (cache && !ctx.points.points.empty()) {
-                        std::vector<Tick> ticks;
-                        for (const auto &p : ctx.points.points)
-                            ticks.push_back(p.tick);
-                        std::sort(ticks.begin(), ticks.end());
-                        ticks.erase(
-                            std::unique(ticks.begin(), ticks.end()),
-                            ticks.end());
-                        core::WholeSystemSim sim(*ctx.module,
-                                                 ctx.config);
-                        auto cr = sim.captureCheckpoints(
-                            {core::ThreadSpec{}}, ticks,
-                            options.maxInstrs,
-                            ctx.hasStream ? &ctx.stream : nullptr);
-                        ctx.goldenCycles = cr.result.cycles;
-                        std::string base = ckptKeyBaseOf(ctx);
-                        for (auto &ck : cr.checkpoints)
-                            cache->insert(
-                                base + ":" +
-                                    std::to_string(ck->crashTick),
-                                ck);
-                        ctx.ckptCache = cache;
-                    } else {
-                        // No capture pass doubling as the timed
-                        // golden run: run one for the Pareto
-                        // report's overhead axis (stream-driven when
-                        // available, so it costs a fraction of an
-                        // interpreted run).
-                        core::WholeSystemSim sim(*ctx.module,
-                                                 ctx.config);
-                        ctx.goldenCycles =
-                            ctx.hasStream
-                                ? sim.runReplay(ctx.stream,
-                                                options.maxInstrs)
-                                      .cycles
-                                : sim.run("main", {},
-                                          options.maxInstrs)
-                                      .cycles;
-                    }
+        std::mutex mu;
+        std::condition_variable wake;
+        std::size_t nextPrep = 0;
+        std::size_t preparing = 0;
+        std::deque<std::pair<Context *, std::size_t>> ready;
+        std::size_t liveBytes = 0, liveCkpts = 0;
+        std::exception_ptr error;
+
+        auto worker = [&]() {
+            std::unique_lock<std::mutex> lk(mu);
+            while (true) {
+                wake.wait(lk, [&] {
+                    return !ready.empty() ||
+                           nextPrep < contexts.size() || preparing == 0;
                 });
+                Context *done = nullptr; // every case of it finished
+                if (!ready.empty()) {
+                    auto [ctx, i] = ready.front();
+                    ready.pop_front();
+                    lk.unlock();
+                    CaseResult &r = ctx->results[i];
+                    r = runCase(r.c, refOf(*ctx), options.maxInstrs);
+                    lk.lock();
+                    if (--ctx->casesLeft == 0)
+                        done = ctx;
+                } else if (nextPrep < contexts.size()) {
+                    Context &ctx = contexts[nextPrep++];
+                    ++preparing;
+                    lk.unlock();
+                    std::exception_ptr failed;
+                    try {
+                        prepareContext(ctx, options);
+                        for (auto &c : casesFor(ctx, options)) {
+                            ctx.results.emplace_back();
+                            ctx.results.back().c = std::move(c);
+                        }
+                    } catch (...) {
+                        ctx.results.clear();
+                        failed = std::current_exception();
+                    }
+                    lk.lock();
+                    --preparing;
+                    if (failed && !error)
+                        error = failed;
+                    ledger.captures += ctx.checkpoints.size();
+                    liveBytes += ctx.checkpointBytes;
+                    liveCkpts += ctx.checkpoints.size();
+                    ledger.bytesResident =
+                        std::max<std::uint64_t>(ledger.bytesResident,
+                                                liveBytes);
+                    ledger.entries =
+                        std::max<std::uint64_t>(ledger.entries, liveCkpts);
+                    ctx.casesLeft = ctx.results.size();
+                    for (std::size_t i = 0; i < ctx.results.size(); ++i)
+                        ready.emplace_back(&ctx, i);
+                    if (ctx.results.empty())
+                        done = &ctx;
+                    wake.notify_all();
+                } else {
+                    return; // nothing ready, queued or in preparation
+                }
+                if (done) {
+                    // No worker reads done's checkpoints or stream any
+                    // more; free them outside the lock.
+                    liveBytes -= done->checkpointBytes;
+                    liveCkpts -= done->checkpoints.size();
+                    lk.unlock();
+                    done->checkpoints.clear();
+                    done->stream = core::CommitStream{};
+                    done->hasStream = false;
+                    lk.lock();
+                }
             }
-        }
-        pool.runTasks(prep);
+        };
+        const std::size_t jobs =
+            options.jobs != 0
+                ? options.jobs
+                : std::max(1u, std::thread::hardware_concurrency());
+        driver::BatchConfig bc;
+        bc.jobs = static_cast<unsigned>(jobs);
+        bc.useDiskCache = false;
+        driver::BatchRunner pool(bc);
+        pool.runTasks(std::vector<std::function<void()>>(jobs, worker));
+        if (error)
+            std::rethrow_exception(error);
     }
 
-    // Phase 2: build the deterministic case list and run it across
-    // the pool; results land by index, so the report's order is
-    // independent of the jobs count.
     CampaignReport report;
     std::vector<const Context *> caseCtx;
-    for (const auto &ctx : contexts) {
-        auto cs = casesFor(ctx, options);
-        for (auto &c : cs) {
-            report.cases.push_back(CaseResult{});
-            report.cases.back().c = std::move(c);
+    for (Context &ctx : contexts) {
+        for (CaseResult &r : ctx.results) {
+            if (r.forkLookup)
+                ledger.note(r.fork);
+            report.cases.push_back(std::move(r));
             caseCtx.push_back(&ctx);
         }
+        ctx.results.clear();
     }
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(report.cases.size());
-        for (std::size_t i = 0; i < report.cases.size(); ++i) {
-            tasks.push_back([i, &report, &caseCtx, &options]() {
-                report.cases[i] =
-                    runCase(report.cases[i].c, refOf(*caseCtx[i]),
-                            options.maxInstrs);
-            });
-        }
-        pool.runTasks(tasks);
-    }
+    if (ledger.enabled)
+        report.ckptCache = ledger;
 
     // Phase 3: aggregate; auto-shrink failures to minimal repros.
     for (std::size_t i = 0; i < report.cases.size(); ++i) {
@@ -871,16 +931,6 @@ runCampaign(const CampaignOptions &options)
             }
         }
     }
-    if (ckptCache) {
-        auto cs = ckptCache->stats();
-        report.ckptCache.enabled = true;
-        report.ckptCache.captures = cs.captures;
-        report.ckptCache.forks = cs.forks;
-        report.ckptCache.evictions = cs.evictions;
-        report.ckptCache.fallbacks = cs.fallbacks;
-        report.ckptCache.bytesResident = cs.bytesResident;
-        report.ckptCache.entries = cs.entries;
-    }
     return report;
 }
 
@@ -899,7 +949,13 @@ CampaignReport::writeJson(std::ostream &os) const
        << ", \"forks\": " << ckptCache.forks
        << ", \"evictions\": " << ckptCache.evictions
        << ", \"fallbacks\": " << ckptCache.fallbacks
-       << ", \"bytes_resident\": " << ckptCache.bytesResident
+       << ", \"fallback_reasons\": {";
+    for (std::size_t f = 1; f < core::kNumForkFallbacks; ++f) {
+        os << (f > 1 ? ", " : "") << "\""
+           << core::forkFallbackName(static_cast<core::ForkFallback>(f))
+           << "\": " << ckptCache.fallbackReasons[f];
+    }
+    os << "}, \"bytes_resident\": " << ckptCache.bytesResident
        << ", \"entries\": " << ckptCache.entries << "}";
     os << ",\n  \"recovery\": [";
     for (std::size_t i = 0; i < recovery.size(); ++i) {

@@ -32,6 +32,8 @@
 #define CWSP_FAULT_CAMPAIGN_HH
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -45,7 +47,7 @@ class StatsRegistry; // sim/stats.hh
 }
 
 namespace cwsp::core {
-class CheckpointCache; // core/sim_checkpoint.hh
+struct SimCheckpoint; // core/sim_checkpoint.hh
 }
 
 namespace cwsp::fault {
@@ -69,7 +71,8 @@ struct CampaignOptions
      * Fork every case from a SimCheckpoint captured during the golden
      * pass instead of re-executing its pre-crash prefix. Verdicts are
      * bit-identical either way (tests/test_ckpt_equiv.cc); disable to
-     * cross-check or to bound memory below CWSP_CKPT_CACHE_MB.
+     * cross-check. A context's checkpoints live only until its last
+     * case finishes, so about `jobs` contexts' worth are resident.
      */
     bool forkCheckpoints = true;
     /** Worker threads; 0 = hardware concurrency. */
@@ -157,23 +160,39 @@ struct CaseResult
     std::uint32_t dlInvokedOps = 0;   ///< ops with committed inv
     std::uint32_t dlCompletedOps = 0; ///< ops durably acknowledged
     std::string detail; ///< human-readable failure explanation
+    /** The case looked up a checkpoint for its first crash tick. */
+    bool forkLookup = false;
+    /** Whether that lookup forked, and if not, why. */
+    core::ForkFallback fork = core::ForkFallback::Missing;
 };
 
 /**
- * Checkpoint-cache behaviour over a forked campaign. Fallbacks > 0
- * means the CWSP_CKPT_CACHE_MB byte cap (or an identity mismatch)
- * degraded part of the sweep to from-scratch execution — slower,
- * never wrong.
+ * Checkpoint ledger of a forked campaign, counted from what each
+ * case's crash run reported (CaseResult::fork). Fallbacks > 0 means
+ * part of the sweep re-executed its pre-crash prefix — slower, never
+ * wrong — and fallbackReasons says why. Checkpoints are scoped to
+ * their context, so nothing is ever evicted; the resident figures are
+ * the peak of live checkpoints over the campaign.
  */
 struct CkptCacheReport
 {
     bool enabled = false;
     std::uint64_t captures = 0;
     std::uint64_t forks = 0;
-    std::uint64_t evictions = 0;
+    std::uint64_t evictions = 0; ///< always 0 (no byte-capped cache)
     std::uint64_t fallbacks = 0;
-    std::uint64_t bytesResident = 0;
-    std::uint64_t entries = 0;
+    std::uint64_t bytesResident = 0; ///< peak live checkpoint bytes
+    std::uint64_t entries = 0;       ///< peak live checkpoints
+    /** Fallbacks per core::ForkFallback (index None stays 0). */
+    std::uint64_t fallbackReasons[core::kNumForkFallbacks] = {};
+
+    /** Count one lookup's outcome. */
+    void note(core::ForkFallback f);
+    /**
+     * " (missing 3, sink 1)": the suffix a printed ledger puts after
+     * its fallback count; empty when nothing fell back.
+     */
+    std::string reasonsBrief() const;
 };
 
 /**
@@ -273,6 +292,10 @@ struct CampaignReport
  */
 CampaignReport runCampaign(const CampaignOptions &options);
 
+/** Checkpoints of one golden run, keyed by capture (crash) tick. */
+using CheckpointMap =
+    std::map<Tick, std::shared_ptr<const core::SimCheckpoint>>;
+
 /**
  * Run one case differentially and fill a CaseResult (exposed for the
  * shrinker, tests, and the --crash-at-event CLI path). @p golden_*
@@ -292,13 +315,12 @@ struct GoldenRef
      */
     const core::CommitStream *stream = nullptr;
     /**
-     * Optional checkpoint cache populated during the golden pass.
-     * runCase() then looks up "<ckptKeyBase>:<first crash tick>" and
-     * forks the case from the checkpoint; a miss (evicted or never
-     * captured) falls back to from-scratch execution and is counted.
+     * Optional checkpoints captured during the golden pass, by crash
+     * tick. runCase() then looks up the first crash tick and forks
+     * the case from it; a miss (never captured, or already released)
+     * runs from scratch. Either way CaseResult::fork says which.
      */
-    core::CheckpointCache *ckptCache = nullptr;
-    std::string ckptKeyBase;
+    const CheckpointMap *checkpoints = nullptr;
     /**
      * Concurrent campaign: thread roster (null = the single-threaded
      * {ThreadSpec{}} default) plus the structure spec and per-worker
@@ -315,6 +337,15 @@ struct GoldenRef
 
 CaseResult runCase(const CampaignCase &c, const GoldenRef &golden,
                    std::uint64_t max_instrs = 200'000'000);
+
+/**
+ * Greedy auto-shrink of a failing case: drop trailing schedule
+ * entries, the interleaving schedule, and individual faults while the
+ * case still fails against @p golden. Returns the minimal repro; each
+ * re-run counts in @p runs, which caps the search at 32.
+ */
+CaseResult shrinkCase(const CaseResult &failing, const GoldenRef &golden,
+                      std::uint64_t max_instrs, std::size_t &runs);
 
 /** The six scheme presets, figure order. */
 const std::vector<std::string> &allSchemeNames();

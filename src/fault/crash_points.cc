@@ -129,13 +129,19 @@ CrashPointSet
 enumerateCrashPoints(const ir::Module &module,
                      const core::SystemConfig &config,
                      const std::vector<core::ThreadSpec> &threads,
-                     std::size_t max_per_kind)
+                     std::size_t max_per_kind,
+                     const core::CommitStream *stream)
 {
+    const bool replay =
+        stream && threads.size() == 1 &&
+        !config.scheme.batteryBacked &&
+        stream->matches(module, threads[0].entry, threads[0].args);
     CrashPointCollector collector;
     core::WholeSystemSim sim(module, config);
     sim.attachTraceSink(&collector);
     CrashPointSet set;
-    set.runCycles = sim.run(threads).cycles;
+    set.runCycles =
+        replay ? sim.runReplay(*stream).cycles : sim.run(threads).cycles;
     sim.attachTraceSink(nullptr);
 
     // Bound to the run: a crash at tick >= runCycles never fires

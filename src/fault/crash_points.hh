@@ -100,11 +100,19 @@ struct CrashPointSet
  * or past the final cycle never fires). The run is a plain timed run;
  * schemes that record nothing (baseline, psp) still produce
  * RegionBegin/MidDrain points from their boundary events.
+ *
+ * @param stream optional commit stream of the single thread's
+ * (entry, args). The timed run is then driven from it
+ * (WholeSystemSim::runReplay) instead of the interpreter — the trace
+ * events, and so the points, are bit-identical. Ignored for
+ * multi-threaded runs, battery-backed schemes, and a stream of
+ * another program.
  */
 CrashPointSet enumerateCrashPoints(
     const ir::Module &module, const core::SystemConfig &config,
     const std::vector<core::ThreadSpec> &threads,
-    std::size_t max_per_kind = 8);
+    std::size_t max_per_kind = 8,
+    const core::CommitStream *stream = nullptr);
 
 } // namespace cwsp::fault
 

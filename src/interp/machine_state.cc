@@ -32,18 +32,21 @@ SparseMemory::dirSlot(std::uint64_t page_id) const
     return i;
 }
 
+std::uint32_t
+SparseMemory::findIdx(std::uint64_t page_id) const
+{
+    if (lastIdx_ != ~0u && pages_[lastIdx_].id == page_id)
+        return lastIdx_;
+    if (dirKeys_.empty())
+        return ~0u;
+    return dirVals_[dirSlot(page_id)] - 1; // empty slot: 0 - 1 = ~0u
+}
+
 const SparseMemory::Page *
 SparseMemory::findPage(std::uint64_t page_id) const
 {
-    if (lastIdx_ != ~0u && pages_[lastIdx_].id == page_id)
-        return &pages_[lastIdx_];
-    if (dirKeys_.empty())
-        return nullptr;
-    std::size_t i = dirSlot(page_id);
-    if (dirVals_[i] == 0)
-        return nullptr;
-    lastIdx_ = dirVals_[i] - 1;
-    return &pages_[lastIdx_];
+    std::uint32_t idx = findIdx(page_id);
+    return idx == ~0u ? nullptr : &pages_[idx];
 }
 
 SparseMemory::Page &
@@ -99,6 +102,18 @@ SparseMemory::read(Addr addr) const
         return 0;
     unsigned w = static_cast<unsigned>(addr >> 3) & (kPageWords - 1);
     return p->words[w];
+}
+
+Word
+SparseMemory::read(Addr addr)
+{
+    cwsp_assert((addr & 7) == 0, "misaligned read at ", addr);
+    std::uint32_t idx = findIdx(addr >> kPageShift);
+    if (idx == ~0u)
+        return 0;
+    lastIdx_ = idx;
+    unsigned w = static_cast<unsigned>(addr >> 3) & (kPageWords - 1);
+    return pages_[idx].words[w];
 }
 
 void

@@ -35,7 +35,13 @@ namespace cwsp::interp {
 class SparseMemory
 {
   public:
+    /**
+     * Read-only lookup: no side effects, so any number of threads may
+     * read one shared image concurrently.
+     */
     Word read(Addr addr) const;
+    /** Same value; also refreshes the one-entry last-page cache. */
+    Word read(Addr addr);
     void write(Addr addr, Word value);
 
     /** Number of distinct words ever written. */
@@ -55,6 +61,28 @@ class SparseMemory
             for (unsigned w = 0; w < kPageWords; ++w)
                 if (p.present[w >> 6] & (1ull << (w & 63)))
                     fn(base + w * kWordBytes, p.words[w]);
+        }
+    }
+
+    /**
+     * Read-only walk over the word range [@p begin, @p end), one call
+     * per page-bounded chunk: fn(addr, words, n) covers the n words
+     * from addr, where words points at their stored values, or is
+     * null when the page was never written (all n read as zero).
+     * Both bounds must be word-aligned.
+     */
+    template <typename Fn>
+    void
+    forEachChunk(Addr begin, Addr end, Fn &&fn) const
+    {
+        for (Addr a = begin; a < end;) {
+            const Addr pageEnd = ((a >> kPageShift) + 1) << kPageShift;
+            const Addr stop = pageEnd < end ? pageEnd : end;
+            const Page *p = findPage(a >> kPageShift);
+            const std::size_t first = (a >> 3) & (kPageWords - 1);
+            fn(a, p ? p->words.data() + first : nullptr,
+               static_cast<std::size_t>((stop - a) / kWordBytes));
+            a = stop;
         }
     }
 
@@ -79,6 +107,8 @@ class SparseMemory
         std::uint64_t id = kNoPage;
     };
 
+    /** Pages_ index of @p page_id, or ~0u; never touches lastIdx_. */
+    std::uint32_t findIdx(std::uint64_t page_id) const;
     const Page *findPage(std::uint64_t page_id) const;
     Page &getPage(std::uint64_t page_id);
     void growDirectory();
@@ -89,8 +119,11 @@ class SparseMemory
     /** Open-addressed pageId -> pages_ index (+1; 0 = empty). */
     std::vector<std::uint64_t> dirKeys_;
     std::vector<std::uint32_t> dirVals_;
-    /** One-entry MRU cache (index into pages_, or ~0u). */
-    mutable std::uint32_t lastIdx_ = ~0u;
+    /**
+     * One-entry MRU cache (index into pages_, or ~0u). Only the
+     * non-const paths update it; const reads may use it as a hint.
+     */
+    std::uint32_t lastIdx_ = ~0u;
 };
 
 /** Poison pattern for registers recovery does not restore. */

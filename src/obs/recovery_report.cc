@@ -289,10 +289,11 @@ telemetryWarnings(const std::map<std::string, double> &metrics)
                 "the category mask)");
         } else if (endsWith(metric, ".fallbacks")) {
             warnings.push_back(
-                "checkpoint cache degraded: " + metric + " = " +
+                "checkpoint forks fell back: " + metric + " = " +
                 formatNumber(value) +
-                " (cases re-executed from scratch; raise "
-                "CWSP_CKPT_CACHE_MB)");
+                " (cases re-executed from scratch; the campaign "
+                "report's checkpoint_cache.fallback_reasons names "
+                "why)");
         }
     }
     return warnings;

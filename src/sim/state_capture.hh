@@ -104,7 +104,10 @@ class StateReader
                       "state capture is memcpy-based");
         cwsp_assert(pos_ + n * sizeof(T) <= size_,
                     "state restore past end of capture buffer");
-        std::memcpy(p, data_ + pos_, n * sizeof(T));
+        // memcpy needs valid pointers even for zero bytes, and an
+        // empty container's data() may be null.
+        if (n != 0)
+            std::memcpy(p, data_ + pos_, n * sizeof(T));
         pos_ += n * sizeof(T);
     }
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "sim/telemetry.hh"
 #include "sim/trace.hh"
 #include "workloads/workload.hh"
 
@@ -439,6 +441,72 @@ TEST(CkptEquiv, SinkAttachedForkFallsBack)
     for (std::size_t i = 0; i < refSink.events.size(); ++i)
         EXPECT_TRUE(refSink.events[i] == gotSink.events[i])
             << "event " << i << " differs";
+}
+
+/**
+ * Every fork gate names its reason in CrashRunResult::fork, and a
+ * usable checkpoint reports None. Checked for each gate in turn:
+ * missing, identity, tick, sink, trace and sampler geometry.
+ */
+TEST(CkptEquiv, FallbackReasonsNamed)
+{
+    using core::ForkFallback;
+    std::vector<core::ThreadSpec> threads(1);
+    auto cfg = core::makeSystemConfig("cwsp");
+    auto mod = workloads::buildApp(workloads::appByName("fft"),
+                                   cfg.compiler);
+    auto stream = core::recordCommitStream(*mod, "main", {});
+    core::WholeSystemSim probe(*mod, cfg);
+    const Tick tick = probe.runReplay(stream).cycles / 2;
+    core::WholeSystemSim capture(*mod, cfg);
+    auto cr = capture.captureCheckpoints(threads, {tick},
+                                         200'000'000, &stream);
+    const core::SimCheckpoint *ck = cr.checkpoints[0].get();
+    const fault::CrashSchedule at{tick};
+
+    auto reason = [&](const core::SimCheckpoint *fork,
+                      const fault::CrashSchedule &schedule,
+                      const std::function<void(core::WholeSystemSim &)>
+                          &setup) {
+        core::WholeSystemSim sim(*mod, cfg);
+        if (setup)
+            setup(sim);
+        return sim.runWithCrashes(threads, schedule, {}, 200'000'000,
+                                  &stream, fork)
+            .fork;
+    };
+    EXPECT_EQ(reason(ck, at, {}), ForkFallback::None);
+    EXPECT_EQ(reason(nullptr, at, {}), ForkFallback::Missing);
+    EXPECT_EQ(reason(ck, fault::CrashSchedule{tick + 17}, {}),
+              ForkFallback::Tick);
+    // Same app, separately compiled: another program identity.
+    auto twin = workloads::buildApp(workloads::appByName("fft"),
+                                    cfg.compiler);
+    core::WholeSystemSim other(*twin, cfg);
+    EXPECT_EQ(other.runWithCrashes(threads, at, {}, 200'000'000,
+                                   nullptr, ck)
+                  .fork,
+              ForkFallback::Identity);
+    CollectSink sink;
+    EXPECT_EQ(reason(ck, at,
+                     [&](core::WholeSystemSim &s) {
+                         s.attachTraceSink(&sink);
+                     }),
+              ForkFallback::Sink);
+    sim::TraceBuffer trace(1 << 12);
+    EXPECT_EQ(reason(ck, at,
+                     [&](core::WholeSystemSim &s) {
+                         s.attachTrace(&trace);
+                     }),
+              ForkFallback::TraceGeometry);
+    sim::CounterSampler sampler(1024);
+    EXPECT_EQ(reason(ck, at,
+                     [&](core::WholeSystemSim &s) {
+                         s.attachSampler(&sampler);
+                     }),
+              ForkFallback::SamplerGeometry);
+    EXPECT_STREQ(core::forkFallbackName(ForkFallback::TraceGeometry),
+                 "trace_geometry");
 }
 
 /**

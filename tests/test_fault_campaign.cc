@@ -3,17 +3,22 @@
  * Fault-injection campaign tests: nested crash schedules (including
  * failures inside the recovery window), media-fault detection and the
  * degradation ladder, battery-backed continuation, atomic-resume
- * recovery, trace-driven crash-point enumeration, and a bounded
- * end-to-end campaign smoke over the engine itself.
+ * recovery, trace-driven crash-point enumeration (interpreted and
+ * replay-driven), the page-wise globals checker, the campaign's
+ * context-scoped checkpoint forking and its fallback ledger, and a
+ * bounded end-to-end campaign smoke over the engine itself.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "compiler/compiler.hh"
+#include "core/commit_stream.hh"
 #include "core/consistency_checker.hh"
+#include "core/sim_checkpoint.hh"
 #include "core/whole_system_sim.hh"
 #include "fault/campaign.hh"
 #include "fault/crash_points.hh"
@@ -375,6 +380,270 @@ TEST(FaultCampaign, SeededCasBugCaughtAndShrunk)
     }
     EXPECT_TRUE(sawViolation);
     EXPECT_GT(report.shrinkRuns, 0u);
+}
+
+/** The word-by-word comparison checkGlobals used to make. */
+core::CheckResult
+wordWiseCheck(const ir::Module &module,
+              const interp::SparseMemory &expected,
+              const interp::SparseMemory &actual)
+{
+    core::CheckResult result;
+    for (const auto &g : module.globals()) {
+        for (Addr a = g.base; a < g.base + g.sizeBytes; a += kWordBytes) {
+            Word e = expected.read(a);
+            Word v = actual.read(a);
+            if (e != v) {
+                result.consistent = false;
+                ++result.totalDivergences;
+                if (result.divergences.size() < 16)
+                    result.divergences.push_back(
+                        core::Divergence{a, e, v, g.name});
+            }
+        }
+    }
+    return result;
+}
+
+void
+expectSameCheck(const core::CheckResult &want,
+                const core::CheckResult &got)
+{
+    EXPECT_EQ(want.consistent, got.consistent);
+    EXPECT_EQ(want.totalDivergences, got.totalDivergences);
+    ASSERT_EQ(want.divergences.size(), got.divergences.size());
+    for (std::size_t i = 0; i < want.divergences.size(); ++i) {
+        EXPECT_EQ(want.divergences[i].addr, got.divergences[i].addr);
+        EXPECT_EQ(want.divergences[i].expected,
+                  got.divergences[i].expected);
+        EXPECT_EQ(want.divergences[i].actual, got.divergences[i].actual);
+        EXPECT_EQ(want.divergences[i].global, got.divergences[i].global);
+    }
+}
+
+// The page-wise checker gives the word-wise loop's exact answer on
+// mutated golden images: scattered flips (more than the 16 sampled),
+// an untouched image, explicit zeros over never-written words (equal
+// under zero-default semantics), and a whole global wiped.
+TEST(ConsistencyChecker, PageWiseMatchesWordWise)
+{
+    for (const char *app : {"fft", "bzip2", "tpcc"}) {
+        SCOPED_TRACE(app);
+        auto cfg = core::makeSystemConfig("cwsp");
+        auto mod = workloads::buildApp(workloads::appByName(app),
+                                       cfg.compiler);
+        interp::SparseMemory golden;
+        interp::runToCompletion(*mod, golden, "main", {});
+        const auto &globals = mod->globals();
+        ASSERT_FALSE(globals.empty());
+
+        std::vector<interp::SparseMemory> images;
+        images.push_back(golden);
+        images.emplace_back(); // never written: every word reads 0
+        {
+            interp::SparseMemory flipped = golden;
+            std::uint64_t h = 0x9e3779b97f4a7c15ull;
+            for (int k = 0; k < 40; ++k) {
+                h ^= h >> 31;
+                h *= 0xbf58476d1ce4e5b9ull;
+                const auto &g = globals[h % globals.size()];
+                const Addr words = (g.sizeBytes + 7) / 8;
+                const Addr a = g.base + ((h >> 20) % words) * 8;
+                flipped.write(a, flipped.read(a) ^ (h | 1));
+            }
+            images.push_back(std::move(flipped));
+        }
+        {
+            // Written zeros where golden has nothing: no divergence.
+            interp::SparseMemory zeros = golden;
+            for (const auto &g : globals)
+                for (Addr a = g.base; a < g.base + g.sizeBytes; a += 8)
+                    if (golden.read(a) == 0)
+                        zeros.write(a, 0);
+            images.push_back(std::move(zeros));
+        }
+        {
+            interp::SparseMemory wiped = golden;
+            const auto &g = globals.back();
+            for (Addr a = g.base; a < g.base + g.sizeBytes; a += 8)
+                wiped.write(a, 0);
+            images.push_back(std::move(wiped));
+        }
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            SCOPED_TRACE("image " + std::to_string(i));
+            expectSameCheck(wordWiseCheck(*mod, golden, images[i]),
+                            core::checkGlobals(*mod, golden, images[i]));
+            expectSameCheck(wordWiseCheck(*mod, images[i], golden),
+                            core::checkGlobals(*mod, images[i], golden));
+        }
+        EXPECT_TRUE(core::checkGlobals(*mod, golden, images[3]).consistent);
+        EXPECT_GT(core::checkGlobals(*mod, golden, images[2])
+                      .totalDivergences,
+                  16u);
+    }
+}
+
+// Replay-driven enumeration harvests the interpreted run's exact
+// points under every non-battery scheme; battery-backed capri ignores
+// the stream and interprets.
+TEST(FaultCampaign, ReplayDrivenCrashPointsMatchInterpreted)
+{
+    for (const char *app : {"fft", "bzip2", "radix", "p", "tpcc"}) {
+        for (const char *scheme :
+             {"baseline", "cwsp", "ido", "replaycache", "psp", "capri"}) {
+            SCOPED_TRACE(std::string(app) + "/" + scheme);
+            auto cfg = core::makeSystemConfig(scheme);
+            auto mod = workloads::buildApp(workloads::appByName(app),
+                                           cfg.compiler);
+            auto stream = core::recordCommitStream(*mod, "main", {});
+            auto want = fault::enumerateCrashPoints(
+                *mod, cfg, {core::ThreadSpec{}}, 0);
+            auto got = fault::enumerateCrashPoints(
+                *mod, cfg, {core::ThreadSpec{}}, 0, &stream);
+            EXPECT_EQ(want.runCycles, got.runCycles);
+            ASSERT_EQ(want.points.size(), got.points.size());
+            if (cfg.compiler.instrument)
+                EXPECT_FALSE(want.points.empty());
+            for (std::size_t i = 0; i < want.points.size(); ++i) {
+                EXPECT_EQ(want.points[i].tick, got.points[i].tick);
+                EXPECT_EQ(want.points[i].kind, got.points[i].kind);
+                EXPECT_EQ(want.points[i].arg, got.points[i].arg);
+            }
+        }
+    }
+}
+
+/** A campaign report's JSON without its checkpoint-ledger line. */
+std::string
+reportWithoutLedger(const fault::CampaignReport &report)
+{
+    std::ostringstream os;
+    report.writeJson(os);
+    std::istringstream in(os.str());
+    std::string out, line;
+    while (std::getline(in, line))
+        if (line.find("\"checkpoint_cache\"") == std::string::npos)
+            out += line + "\n";
+    return out;
+}
+
+// Context-scoped checkpoints: every case of a forked campaign forks
+// (nothing evicted, nothing falls back), and the report is the
+// --no-fork report byte for byte, for any jobs count.
+TEST(FaultCampaign, ForkedCampaignForksEveryCase)
+{
+    fault::CampaignOptions opt;
+    opt.apps = {"fft", "bzip2"};
+    opt.pointsPerKind = 1;
+    opt.jobs = 1;
+    opt.forkCheckpoints = false;
+    const auto scratch = fault::runCampaign(opt);
+    ASSERT_TRUE(scratch.allPassed());
+    EXPECT_FALSE(scratch.ckptCache.enabled);
+    const std::string want = reportWithoutLedger(scratch);
+
+    opt.forkCheckpoints = true;
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        opt.jobs = jobs;
+        const auto report = fault::runCampaign(opt);
+        const auto &ck = report.ckptCache;
+        EXPECT_TRUE(ck.enabled);
+        EXPECT_GT(ck.captures, 0u);
+        EXPECT_EQ(ck.forks, report.cases.size());
+        EXPECT_EQ(ck.fallbacks, 0u);
+        EXPECT_EQ(ck.evictions, 0u);
+        EXPECT_EQ(ck.reasonsBrief(), "");
+        EXPECT_GT(ck.bytesResident, 0u);
+        EXPECT_LE(ck.entries, ck.captures);
+        for (const auto &r : report.cases) {
+            EXPECT_TRUE(r.forkLookup) << r.c.label();
+            EXPECT_EQ(r.fork, core::ForkFallback::None) << r.c.label();
+        }
+        EXPECT_EQ(want, reportWithoutLedger(report));
+    }
+
+    // The ledger counts each lookup's outcome under its named reason.
+    fault::CkptCacheReport ledger;
+    for (auto f : {core::ForkFallback::None, core::ForkFallback::Missing,
+                   core::ForkFallback::Sink, core::ForkFallback::Missing})
+        ledger.note(f);
+    EXPECT_EQ(ledger.forks, 1u);
+    EXPECT_EQ(ledger.fallbacks, 3u);
+    EXPECT_EQ(ledger.reasonsBrief(), " (missing 2, sink 1)");
+}
+
+// Failures found in a forked campaign still shrink after their
+// contexts released their checkpoints: the seeded CAS bug in a
+// campaign whose single-threaded contexts fork and pass, and a
+// forced single-threaded failure (tampered golden memory) whose
+// checkpoints are gone by the time the shrinker runs.
+TEST(FaultCampaign, ShrinksAfterContextsReleased)
+{
+    fault::CampaignOptions opt;
+    opt.apps = {"fft", "cqueue"};
+    opt.schemes = {"cwsp"};
+    opt.pointsPerKind = 6;
+    opt.numSchedules = 3;
+    opt.seedCasBug = true;
+    opt.jobs = 2;
+    auto report = fault::runCampaign(opt);
+    ASSERT_FALSE(report.allPassed());
+    EXPECT_GT(report.shrinkRuns, 0u);
+    for (const auto &f : report.failures) {
+        EXPECT_EQ(f.c.app, "cqueue") << f.c.label();
+        EXPECT_EQ(f.dlVerdict, "violation") << f.c.label();
+        EXPECT_EQ(f.c.schedule.ticks.size(), 1u) << f.c.label();
+        EXPECT_TRUE(f.c.plan.faults.empty()) << f.c.label();
+    }
+    EXPECT_GT(report.ckptCache.forks, 0u);
+    EXPECT_EQ(report.ckptCache.fallbacks, 0u);
+
+    // Single-threaded: fork a failing nested + media-fault case from
+    // its golden checkpoint, release the checkpoints, then shrink.
+    Golden g = makeGolden("fft", "cwsp", 1);
+    auto golden = core::goldenRun(*g.mod, "main", {}, 200'000'000, 0,
+                                  true);
+    core::WholeSystemSim capture(*g.mod, g.cfg);
+    auto cr = capture.captureCheckpoints({core::ThreadSpec{}}, {g.pivot},
+                                         200'000'000, &golden.stream);
+    fault::CheckpointMap ckpts;
+    for (auto &ck : cr.checkpoints)
+        ckpts.emplace(ck->crashTick, ck);
+    interp::SparseMemory tampered = golden.memory;
+    const Addr victim = g.mod->globals().front().base;
+    tampered.write(victim, tampered.read(victim) ^ 1);
+    fault::GoldenRef ref;
+    ref.module = g.mod.get();
+    ref.config = &g.cfg;
+    ref.result = golden.returnValue;
+    ref.memory = &tampered;
+    ref.ioStream = &golden.io;
+    ref.stream = &golden.stream;
+    ref.checkpoints = &ckpts;
+
+    fault::CampaignCase c;
+    c.app = "fft";
+    c.scheme = "cwsp";
+    c.schedule = fault::CrashSchedule{g.pivot, kBootCycles + 2};
+    c.plan.faults.push_back(
+        fault::MediaFault{fault::FaultKind::TornAppend, 0, 0, 0, 0});
+    auto failing = fault::runCase(c, ref);
+    ASSERT_TRUE(failing.ran);
+    ASSERT_FALSE(failing.pass);
+    EXPECT_TRUE(failing.forkLookup);
+    EXPECT_EQ(failing.fork, core::ForkFallback::None);
+
+    ckpts.clear(); // the context's last case finished
+    std::size_t runs = 0;
+    auto shrunk = fault::shrinkCase(failing, ref, 200'000'000, runs);
+    EXPECT_GT(runs, 0u);
+    EXPECT_FALSE(shrunk.pass);
+    EXPECT_EQ(shrunk.c.schedule.ticks.size(), 1u);
+    EXPECT_EQ(shrunk.c.schedule.ticks[0], g.pivot);
+    EXPECT_TRUE(shrunk.c.plan.faults.empty());
+    EXPECT_EQ(shrunk.fork, core::ForkFallback::Missing);
+    EXPECT_NE(shrunk.detail.find("globals diverge"), std::string::npos);
 }
 
 } // namespace

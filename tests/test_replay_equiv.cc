@@ -6,7 +6,8 @@
  * every RunResult field, the exported statistics JSON, the trace
  * stream, and (for crash sweeps) the full CrashRunResult. The
  * one-pass recorder is itself checked against a two-pass reference
- * encoder, field by field.
+ * encoder, field by field, and the one-pass golden run against the
+ * three separate functional runs it replaces.
  */
 
 #include <gtest/gtest.h>
@@ -412,6 +413,55 @@ bb0:
     EXPECT_EQ(got.steps, 10u);
     EXPECT_EQ(got.commits, 12u);
     EXPECT_EQ(got.returnValue, 3u);
+}
+
+/**
+ * One functional golden pass yields exactly what the three separate
+ * runs did: runToCompletion's memory and return value,
+ * collectIoStream's device output, and recordCommitStream's stream.
+ */
+TEST(GoldenRunOracle, MatchesThreeSeparateRuns)
+{
+    for (const auto &app : workloads::appTable()) {
+        for (const char *scheme : {"cwsp", "baseline"}) {
+            SCOPED_TRACE(app.name + "/" + scheme);
+            auto cfg = core::makeSystemConfig(scheme);
+            auto mod = workloads::buildApp(app, cfg.compiler);
+            const auto hint = workloads::estimatedInstrs(app);
+            auto g = core::goldenRun(*mod, "main", {}, 200'000'000,
+                                     hint, true);
+
+            interp::SparseMemory mem;
+            EXPECT_EQ(g.returnValue, interp::runToCompletion(
+                                         *mod, mem, "main", {}));
+            EXPECT_TRUE(g.memory.equals(mem));
+            EXPECT_EQ(g.memory.footprintWords(), mem.footprintWords());
+
+            auto io = core::collectIoStream(*mod, "main", {});
+            ASSERT_EQ(g.io.size(), io.size());
+            for (std::size_t i = 0; i < io.size(); ++i) {
+                EXPECT_EQ(g.io[i].device, io[i].device) << "io " << i;
+                EXPECT_EQ(g.io[i].payload, io[i].payload) << "io " << i;
+                EXPECT_EQ(g.io[i].region, io[i].region) << "io " << i;
+                EXPECT_EQ(g.io[i].core, io[i].core) << "io " << i;
+            }
+
+            auto want = core::recordCommitStream(*mod, "main", {},
+                                                 200'000'000, hint);
+            EXPECT_TRUE(g.stream.matches(*mod, "main", {}));
+            expectSameStream(want, g.stream);
+
+            // Without recording: the same memory, result and output,
+            // and no stream.
+            auto bare = core::goldenRun(*mod, "main", {}, 200'000'000,
+                                        hint, false);
+            EXPECT_EQ(bare.returnValue, g.returnValue);
+            EXPECT_TRUE(bare.memory.equals(g.memory));
+            EXPECT_EQ(bare.io.size(), g.io.size());
+            EXPECT_EQ(bare.stream.module, nullptr);
+            EXPECT_TRUE(bare.stream.ops.empty());
+        }
+    }
 }
 
 } // namespace

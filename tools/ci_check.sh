@@ -58,6 +58,15 @@ for san in "${SANITIZERS[@]}"; do
     # demand set and stream cache concurrently under the sanitizer.
     "$dir"/tests/test_replay_equiv --gtest_filter='RecorderOracle.*'
     "$dir"/tests/test_batch_runner --gtest_filter='StreamPolicy.*'
+    echo "== $san: golden pass + forked campaign equivalence =="
+    # The one-pass golden run must equal the three separate
+    # functional runs it replaced, replay-driven crash-point
+    # enumeration the interpreted one, and the page-wise globals
+    # checker the word-wise loop. The forked campaign (jobs 1 and 4)
+    # must fork every case and report what --no-fork reports.
+    "$dir"/tests/test_replay_equiv --gtest_filter='GoldenRunOracle.*'
+    "$dir"/tests/test_fault_campaign --gtest_filter=\
+'ConsistencyChecker.*:FaultCampaign.ReplayDrivenCrashPointsMatchInterpreted:FaultCampaign.ForkedCampaignForksEveryCase'
     echo "== $san: invariant smoke (every scheme) =="
     # Online protocol checking over a small batch: attaches the
     # obs::InvariantMonitor to each simulation and fails on any
@@ -74,9 +83,16 @@ for san in "${SANITIZERS[@]}"; do
     # hardened recovery path itself while it degrades. Runs in
     # forked mode (--fork) so the checkpoint capture/restore path —
     # the byte-blob component protocol and the bundle hand-off — is
-    # itself exercised under ASan and UBSan.
+    # itself exercised under ASan and UBSan. Every case must fork:
+    # the printed ledger has to report 0 fallbacks.
     "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
-          --points 1 --fork --jobs "$JOBS" --quiet
+          --points 1 --fork --jobs "$JOBS" --quiet \
+          | tee "$dir"/campaign_smoke.txt
+    if ! grep -q "forks, 0 fallbacks," "$dir"/campaign_smoke.txt; then
+        echo "ci_check: forked campaign fell back to from-scratch" >&2
+        exit 1
+    fi
+    rm -f "$dir"/campaign_smoke.txt
     echo "== $san: concurrent campaign smoke (durable-lin on) =="
     # Lock-free queue + hash-map across all schemes, two
     # interleaving schedules each, with the durable-linearizability

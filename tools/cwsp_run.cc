@@ -431,14 +431,20 @@ runMain(int argc, char **argv)
     }
 
     if (crash_sweep > 0 || !crash_at_event.empty()) {
-        interp::SparseMemory golden_mem;
-        Word golden =
-            interp::runToCompletion(*mod, golden_mem, "main", {});
-        auto golden_io = core::collectIoStream(*mod, "main", {});
+        // One functional golden run: final memory, return value and
+        // device output, plus the commit stream that every sweep
+        // point replays its pristine epochs from (battery-backed
+        // schemes never replay, so they record none).
+        core::GoldenRun golden = core::goldenRun(
+            *mod, "main", {}, 200'000'000, 0,
+            !cfg.scheme.batteryBacked);
+        const core::CommitStream *stream =
+            cfg.scheme.batteryBacked ? nullptr : &golden.stream;
         auto set = fault::enumerateCrashPoints(
             *mod, cfg, {core::ThreadSpec{}},
             crash_sweep > 0 ? static_cast<std::size_t>(crash_sweep)
-                            : 0);
+                            : 0,
+            stream);
 
         std::vector<fault::CrashPoint> chosen;
         if (!crash_at_event.empty()) {
@@ -491,20 +497,16 @@ runMain(int argc, char **argv)
         fault::GoldenRef g;
         g.module = mod.get();
         g.config = &cfg;
-        g.result = golden;
-        g.memory = &golden_mem;
-        g.ioStream = &golden_io;
-        // Record the commit stream once so every sweep point replays
-        // its pristine epochs instead of re-interpreting the prefix.
-        core::CommitStream stream;
-        if (!cfg.scheme.batteryBacked) {
-            stream = core::recordCommitStream(*mod, "main", {});
-            g.stream = &stream;
-        }
+        g.result = golden.returnValue;
+        g.memory = &golden.memory;
+        g.ioStream = &golden.io;
+        g.stream = stream;
         // Capture a checkpoint at every sweep tick in one pass; each
         // point then forks from its checkpoint and simulates only
         // crash + recovery + tail (identical verdicts either way).
-        core::CheckpointCache ckpts;
+        fault::CheckpointMap ckpts;
+        fault::CkptCacheReport ledger;
+        std::size_t ckpt_bytes = 0;
         if (fork_sweep) {
             std::vector<Tick> ticks;
             for (const auto &p : chosen)
@@ -516,12 +518,12 @@ runMain(int argc, char **argv)
             auto cr = capture_sim.captureCheckpoints(
                 {core::ThreadSpec{}}, ticks, 200'000'000,
                 g.stream);
-            for (auto &ck : cr.checkpoints)
-                ckpts.insert(app.name + "|" + scheme + ":" +
-                                 std::to_string(ck->crashTick),
-                             ck);
-            g.ckptCache = &ckpts;
-            g.ckptKeyBase = app.name + "|" + scheme;
+            for (auto &ck : cr.checkpoints) {
+                ckpt_bytes += ck->bytes();
+                ckpts.emplace(ck->crashTick, std::move(ck));
+            }
+            ledger.captures = ckpts.size();
+            g.checkpoints = &ckpts;
         }
         int failures = 0;
         for (const auto &p : chosen) {
@@ -531,6 +533,8 @@ runMain(int argc, char **argv)
             c.pointKind = p.kind;
             c.schedule = fault::CrashSchedule{p.tick};
             auto res = fault::runCase(c, g);
+            if (res.forkLookup)
+                ledger.note(res.fork);
             if (!res.pass)
                 ++failures;
             std::printf(
@@ -545,13 +549,13 @@ runMain(int argc, char **argv)
         std::printf("%zu crash point(s), %d failure(s)\n",
                     chosen.size(), failures);
         if (fork_sweep) {
-            auto cs = ckpts.stats();
             std::printf("checkpoint cache: %llu captured, %llu "
-                        "forks, %llu fallbacks, %.1f MB resident\n",
-                        (unsigned long long)cs.captures,
-                        (unsigned long long)cs.forks,
-                        (unsigned long long)cs.fallbacks,
-                        (double)cs.bytesResident / (1024.0 * 1024.0));
+                        "forks, %llu fallbacks%s, %.1f MB resident\n",
+                        (unsigned long long)ledger.captures,
+                        (unsigned long long)ledger.forks,
+                        (unsigned long long)ledger.fallbacks,
+                        ledger.reasonsBrief().c_str(),
+                        (double)ckpt_bytes / (1024.0 * 1024.0));
         }
         return failures == 0 ? 0 : 1;
     }
