@@ -102,8 +102,7 @@ void
 registerCases()
 {
     const auto &app = workloads::appByName("fft");
-    const std::vector<std::string> schemes = {
-        "baseline", "cwsp", "capri", "ido", "replaycache", "psp"};
+    const auto &schemes = core::schemeNames();
 
     auto cases = std::make_shared<std::vector<SchemeCase>>();
     for (const auto &s : schemes) {

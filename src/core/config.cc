@@ -61,4 +61,12 @@ makeSystemConfig(const std::string &scheme_name)
     return cfg;
 }
 
+const std::vector<std::string> &
+schemeNames()
+{
+    static const std::vector<std::string> names = {
+        "baseline", "cwsp", "capri", "ido", "replaycache", "psp"};
+    return names;
+}
+
 } // namespace cwsp::core

@@ -10,6 +10,7 @@
 #define CWSP_CORE_CONFIG_HH
 
 #include <string>
+#include <vector>
 
 #include "arch/scheme.hh"
 #include "compiler/baseline_lowering.hh"
@@ -34,6 +35,9 @@ struct SystemConfig
  * consistently. Callers tweak fields afterwards for sweeps.
  */
 SystemConfig makeSystemConfig(const std::string &scheme_name);
+
+/** Every preset makeSystemConfig() knows, in the paper's figure order. */
+const std::vector<std::string> &schemeNames();
 
 /** Apply the cWSP WB/WPQ feature flags onto the hierarchy config. */
 void syncFeatureFlags(SystemConfig &config);

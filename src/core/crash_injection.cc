@@ -537,4 +537,46 @@ computeCrashState(Tick crash_tick,
     return state;
 }
 
+void
+seedStaleSlots(CrashState &cs, const fault::FaultPlan &faults,
+               std::uint32_t crash_index,
+               const std::map<RegionId, interp::ControlSnapshot> &snapshots,
+               const ir::Module &module, fault::FaultStats &stats)
+{
+    for (const auto &f : faults.faultsFor(crash_index)) {
+        if (f.kind != fault::FaultKind::StaleCheckpointSlot)
+            continue;
+        ++stats.faultsRequested;
+        bool applied = false;
+        for (std::size_t c = 0; c < cs.resume.size() && !applied; ++c) {
+            const ResumePoint &rp = cs.resume[c];
+            if (!rp.hasWork || rp.restart)
+                continue;
+            auto snap = snapshots.find(rp.region);
+            if (snap == snapshots.end())
+                continue;
+            std::size_t depth = snap->second.frames.size() - 1;
+            const ir::Function &fn = module.function(rp.func);
+            if (rp.staticRegion >= fn.recoverySlices().size())
+                continue;
+            for (const auto &op : fn.recoverySlices()[rp.staticRegion].ops) {
+                if (op.kind != ir::RsOp::Kind::LoadSlot)
+                    continue;
+                Addr slot = interp::ckptSlotAddr(static_cast<CoreId>(c),
+                                                 depth, op.slot);
+                auto img = cs.ckptSlotImage.find(slot);
+                if (img == cs.ckptSlotImage.end() ||
+                    img->second.value == img->second.prev) {
+                    continue;
+                }
+                cs.nvm.write(slot, img->second.prev);
+                applied = true;
+                break;
+            }
+        }
+        if (applied)
+            ++stats.faultsApplied;
+    }
+}
+
 } // namespace cwsp::core

@@ -32,6 +32,7 @@
 #include "arch/scheme.hh"
 #include "fault/fault_model.hh"
 #include "interp/machine_state.hh"
+#include "ir/ir.hh"
 #include "sim/types.hh"
 
 namespace cwsp::core {
@@ -164,6 +165,20 @@ CrashState computeCrashState(
     const std::vector<Tick> &program_finished_at,
     const std::vector<arch::IoRecord> &io,
     const CrashComputeOptions &opts);
+
+/**
+ * Seed the StaleCheckpointSlot faults of failure @p crash_index into
+ * @p cs (a state without a full restart): each drops the newest
+ * stamped write to a checkpoint slot some core's resume slice will
+ * load, so slot validation is genuinely exercised. @p snapshots are
+ * the boundary snapshots of the recording @p cs was computed from;
+ * they give each resume frame's depth.
+ */
+void seedStaleSlots(CrashState &cs, const fault::FaultPlan &faults,
+                    std::uint32_t crash_index,
+                    const std::map<RegionId, interp::ControlSnapshot>
+                        &snapshots,
+                    const ir::Module &module, fault::FaultStats &stats);
 
 } // namespace cwsp::core
 

@@ -1,6 +1,8 @@
 #include "core/whole_system_sim.hh"
 
 #include <algorithm>
+#include <deque>
+#include <optional>
 #include <sstream>
 
 #include "core/crash_injection.hh"
@@ -15,19 +17,79 @@ namespace cwsp::core {
 namespace {
 
 /**
+ * The boundary-snapshot window of a recording: the control snapshot
+ * of each core's last 4 x RBT-capacity + 16 regions. Older regions are
+ * long persisted, so no resume point can name them.
+ */
+class SnapshotWindow
+{
+  public:
+    SnapshotWindow(RecordingBundle &bundle, const SystemConfig &config)
+        : bundle_(bundle), keep_(4 * config.scheme.rbtCapacity + 16),
+          rings_(config.numCores)
+    {
+    }
+
+    /** Record @p snap as the snapshot of @p core's new region @p id. */
+    void
+    add(CoreId core, RegionId id, interp::ControlSnapshot snap)
+    {
+        bundle_.snapshots[id] = std::move(snap);
+        auto &r = rings_[core];
+        r.push_back(id);
+        if (r.size() > keep_) {
+            bundle_.snapshots.erase(r.front());
+            r.pop_front();
+        }
+    }
+
+  private:
+    RecordingBundle &bundle_;
+    std::size_t keep_;
+    std::vector<std::deque<RegionId>> rings_;
+};
+
+/**
+ * Log reserve of a recording: twice the tightest instruction estimate
+ * available (the caller's hint, else the stream's exact count),
+ * capped by the budget.
+ */
+std::uint64_t
+recordingReserve(std::uint64_t hint, const CommitStream *replay,
+                 std::uint64_t max_instrs)
+{
+    std::uint64_t expected = hint != 0 ? hint : replay ? replay->steps : 0;
+    return expected != 0 ? std::min(max_instrs, 2 * expected)
+                         : max_instrs;
+}
+
+/**
+ * @p replay when it can drive a run of @p threads: one core, the
+ * stream's own program, and a scheme whose crash handling needs no
+ * live interpreter (battery-backed schemes snapshot one). Else null.
+ */
+const CommitStream *
+usableStream(const CommitStream *replay, const ir::Module &module,
+             const SystemConfig &config,
+             const std::vector<ThreadSpec> &threads)
+{
+    bool ok = replay && threads.size() == 1 &&
+              !config.scheme.batteryBacked &&
+              replay->matches(module, threads[0].entry, threads[0].args);
+    return ok ? replay : nullptr;
+}
+
+/**
  * Sink that forwards commits to the scheme and snapshots the
- * committing interpreter's control state at each region boundary,
- * pruning snapshots of long-persisted regions.
+ * committing interpreter's control state at each region boundary.
  */
 class RecordingSink final : public interp::CommitSink
 {
   public:
-    RecordingSink(arch::Scheme &scheme, RecordingBundle &bundle,
-                  std::vector<std::unique_ptr<interp::Interpreter>>
-                      &cores,
-                  std::size_t keep_per_core)
-        : scheme_(scheme), bundle_(bundle), cores_(cores),
-          keep_(keep_per_core)
+    RecordingSink(
+        arch::Scheme &scheme, SnapshotWindow &window,
+        const std::vector<std::unique_ptr<interp::Interpreter>> &cores)
+        : scheme_(scheme), window_(window), cores_(cores)
     {
     }
 
@@ -35,27 +97,350 @@ class RecordingSink final : public interp::CommitSink
     onCommit(const interp::CommitInfo &info) override
     {
         scheme_.onCommit(info);
-        if (info.kind != interp::CommitKind::Boundary)
-            return;
-        RegionId id = scheme_.currentRegion(info.core);
-        bundle_.snapshots[id] = cores_[info.core]->snapshot();
-        if (ring_.size() <= info.core)
-            ring_.resize(info.core + 1);
-        auto &r = ring_[info.core];
-        r.push_back(id);
-        if (r.size() > keep_) {
-            bundle_.snapshots.erase(r.front());
-            r.erase(r.begin());
+        if (info.kind == interp::CommitKind::Boundary) {
+            window_.add(info.core, scheme_.currentRegion(info.core),
+                        cores_[info.core]->snapshot());
         }
     }
 
   private:
     arch::Scheme &scheme_;
-    RecordingBundle &bundle_;
-    std::vector<std::unique_ptr<interp::Interpreter>> &cores_;
-    std::size_t keep_;
-    std::vector<std::vector<RegionId>> ring_;
+    SnapshotWindow &window_;
+    const std::vector<std::unique_ptr<interp::Interpreter>> &cores_;
 };
+
+/**
+ * Where an execution stopped: steps spent, and per core its finish
+ * clock, return value, whether it is done (or had nothing to run),
+ * and — battery-backed schemes only — its exact control state. A
+ * checkpoint stores exactly this, and a forked epoch reads it back.
+ */
+struct EpochOutcome
+{
+    std::uint64_t steps = 0;
+    std::vector<Tick> finishedAt;
+    std::vector<Word> returns;
+    std::vector<std::uint8_t> finished;
+    std::vector<interp::ControlSnapshot> exact;
+};
+
+/**
+ * A resumable position in a commit stream (core 0). advance() applies
+ * ops up to an instant and stops; the next advance() continues from
+ * there. An instant inside a constant-cost batch splits it: the cursor
+ * retires the steps that start by the instant and keeps the rest.
+ * retireBatch() is additive, so a split retirement lands every later
+ * op on the same cycles as one uncut retirement.
+ *
+ * A timed cursor drives the scheme (batches retire arithmetically);
+ * an untimed one only writes memory, logs device output and counts
+ * steps. Stores and atomics write memory before the scheme sees them,
+ * as the interpreter does before its sink callback.
+ */
+class StreamCursor
+{
+  public:
+    /**
+     * @param scheme timing model to drive; null for an untimed cursor.
+     * @param io     device-output log of an untimed cursor.
+     * @param window rebuilt from the stream's flattened boundary
+     *               snapshots when set (timed cursors only).
+     */
+    StreamCursor(const CommitStream &stream, interp::SparseMemory &memory,
+                 arch::Scheme *scheme, std::vector<arch::IoRecord> *io,
+                 SnapshotWindow *window, std::uint64_t max_instrs)
+        : stream_(stream), memory_(memory), scheme_(scheme), io_(io),
+          window_(window), maxInstrs_(max_instrs)
+    {
+    }
+
+    /** Skip, unapplied, every commit before commit number @p commit. */
+    void
+    seek(std::uint64_t commit)
+    {
+        for (std::uint64_t commits = 0;
+             op_ < stream_.ops.size() && commits < commit; ++op_) {
+            const CommitStream::Op &op = stream_.ops[op_];
+            if (isBatch(op)) {
+                // Each batched step is exactly one commit.
+                if (commits + op.aux > commit) {
+                    batchDone_ = commit - commits;
+                    return;
+                }
+                commits += op.aux;
+                continue;
+            }
+            auto kind = static_cast<interp::CommitKind>(op.kind);
+            commits += kind != interp::CommitKind::AtomicPrepare;
+            boundary_ += kind == interp::CommitKind::Boundary;
+        }
+    }
+
+    /**
+     * Apply ops until the next step would start after @p limit
+     * (kTickNever: to the end; the only limit an untimed cursor
+     * takes). A step executes iff its start cycle has not passed the
+     * limit.
+     */
+    void
+    advance(Tick limit)
+    {
+        constexpr CoreId core = 0;
+        const bool cut = limit != kTickNever;
+        // Position and step count live in locals: members would be
+        // reloaded after every memory write and scheme call.
+        const CommitStream::Op *const ops = stream_.ops.data();
+        const std::size_t end = stream_.ops.size();
+        std::size_t i = op_;
+        std::uint64_t steps = steps_;
+        const std::uint64_t budget = maxInstrs_;
+        auto count = [&](std::uint64_t n) {
+            steps += n;
+            if (steps > budget)
+                cwsp_fatal("instruction budget exceeded (", budget, ")");
+        };
+        for (; i < end; ++i) {
+            const CommitStream::Op &op = ops[i];
+            if (isBatch(op)) {
+                const Tick per = op.kind == CommitStream::kBatch1 ? 1 : 2;
+                std::uint64_t run = op.aux - batchDone_;
+                if (cut) {
+                    Tick c = scheme_->cycles(core);
+                    if (c > limit)
+                        break;
+                    run = std::min<std::uint64_t>(run,
+                                                  (limit - c) / per + 1);
+                }
+                count(run);
+                if (scheme_)
+                    scheme_->retireBatch(core, run,
+                                         static_cast<Tick>(run) * per);
+                batchDone_ += run;
+                if (batchDone_ < op.aux)
+                    break; // the instant falls inside the batch
+                batchDone_ = 0;
+                continue;
+            }
+
+            if (op.flags & CommitStream::kFlagNewStep) {
+                if (cut && scheme_->cycles(core) > limit)
+                    break;
+                count(1);
+            }
+            const auto kind = static_cast<interp::CommitKind>(op.kind);
+            if (kind == interp::CommitKind::Store ||
+                kind == interp::CommitKind::Atomic) {
+                memory_.write(op.addr, op.value);
+            }
+            if (!scheme_) {
+                if (kind == interp::CommitKind::Io)
+                    io_->push_back(arch::IoRecord{op.addr, op.value, 0, 0});
+                boundary_ += kind == interp::CommitKind::Boundary;
+                continue;
+            }
+            interp::CommitInfo info;
+            info.kind = kind;
+            info.core = core;
+            info.addr = op.addr;
+            info.storeValue = op.value;
+            info.isCheckpoint = (op.flags & CommitStream::kFlagCkpt) != 0;
+            info.func = op.func;
+            if (kind == interp::CommitKind::Boundary)
+                info.staticRegion = op.aux;
+            scheme_->onCommit(info);
+            if (kind != interp::CommitKind::Boundary)
+                continue;
+            if (window_) {
+                const CommitStream::SnapRef &ref =
+                    stream_.snapRefs[boundary_];
+                auto first = stream_.frames.begin() + ref.begin;
+                window_->add(core, scheme_->currentRegion(core),
+                             {std::vector<interp::Frame>(
+                                 first, first + ref.count)});
+            }
+            ++boundary_;
+        }
+        op_ = i;
+        steps_ = steps;
+    }
+
+    /** Top-level steps applied (fatal past the budget). */
+    std::uint64_t steps() const { return steps_; }
+
+    /** Where the cursor stands, as a single-core epoch outcome. */
+    EpochOutcome
+    outcome() const
+    {
+        const bool done = op_ == stream_.ops.size();
+        return EpochOutcome{steps_,
+                            {done ? scheme_->cycles(0) : kTickNever},
+                            {done ? stream_.returnValue : 0},
+                            {static_cast<std::uint8_t>(done)},
+                            {}};
+    }
+
+  private:
+    static bool
+    isBatch(const CommitStream::Op &op)
+    {
+        return op.kind == CommitStream::kBatch1 ||
+               op.kind == CommitStream::kBatch2;
+    }
+
+    const CommitStream &stream_;
+    interp::SparseMemory &memory_;
+    arch::Scheme *scheme_;
+    std::vector<arch::IoRecord> *io_;
+    SnapshotWindow *window_;
+    std::uint64_t maxInstrs_;
+    std::size_t op_ = 0;          ///< next op to apply
+    std::uint64_t batchDone_ = 0; ///< steps of ops[op_] already retired
+    std::size_t boundary_ = 0;    ///< Boundary ops passed
+    std::uint64_t steps_ = 0;
+};
+
+/**
+ * The interpreter cores of one execution and their one scheduler: the
+ * core with the lowest clock steps next (ties go to the lowest core),
+ * which gives shared-memory workloads a deterministic interleaving. A
+ * core whose clock has passed the limit waits, so the schedule up to
+ * an instant is a prefix of the free-run schedule and one pass can
+ * stop at several instants in turn.
+ */
+class CoreScheduler
+{
+  public:
+    /**
+     * @param clock scheme whose core cycles order the cores; null for
+     *        an untimed execution, ordered by committed instructions.
+     */
+    CoreScheduler(std::size_t n, const arch::Scheme *clock,
+                  std::uint64_t max_instrs)
+        : cores(n), finishedAt(n, kTickNever), clock_(clock),
+          maxInstrs_(max_instrs)
+    {
+    }
+
+    /** Null entries are cores with nothing to run. */
+    std::vector<std::unique_ptr<interp::Interpreter>> cores;
+    /** Clock at which each core finished (kTickNever: running). */
+    std::vector<Tick> finishedAt;
+    std::uint64_t steps = 0; ///< fatal past the budget
+
+    /** Create core @p c on @p memory. */
+    interp::Interpreter &
+    add(std::size_t c, const ir::Module &module,
+        interp::SparseMemory &memory)
+    {
+        cores[c] = std::make_unique<interp::Interpreter>(
+            module, memory, static_cast<CoreId>(c));
+        return *cores[c];
+    }
+
+    /** Step cores until each is finished or past @p limit. */
+    void
+    advance(Tick limit, interp::CommitSink &sink)
+    {
+        if (cores.size() == 1 && cores[0]) {
+            // Single-core fast path: the pick below always selects
+            // the only core, so skip it (it is measurable at this
+            // loop's trip count).
+            interp::Interpreter &core = *cores[0];
+            while (!core.finished() &&
+                   (limit == kTickNever || clockOf(0) <= limit))
+                step(core, sink);
+            if (core.finished() && finishedAt[0] == kTickNever)
+                finishedAt[0] = clockOf(0);
+            return;
+        }
+        while (true) {
+            interp::Interpreter *next = nullptr;
+            Tick best = kTickNever;
+            for (std::size_t c = 0; c < cores.size(); ++c) {
+                if (!cores[c])
+                    continue;
+                if (cores[c]->finished()) {
+                    if (finishedAt[c] == kTickNever)
+                        finishedAt[c] = clockOf(c);
+                    continue;
+                }
+                Tick t = clockOf(c);
+                if (t <= limit && t < best) {
+                    best = t;
+                    next = cores[c].get();
+                }
+            }
+            if (!next)
+                return;
+            step(*next, sink);
+        }
+    }
+
+    /** Where the cores stand (exact state only if @p battery_backed). */
+    EpochOutcome
+    outcome(bool battery_backed) const
+    {
+        const std::size_t n = cores.size();
+        EpochOutcome eo{steps, finishedAt, std::vector<Word>(n, 0),
+                        std::vector<std::uint8_t>(n, 1), {}};
+        if (battery_backed)
+            eo.exact.resize(n);
+        for (std::size_t c = 0; c < n; ++c) {
+            if (!cores[c])
+                continue;
+            eo.returns[c] = cores[c]->returnValue();
+            eo.finished[c] = cores[c]->finished();
+            if (battery_backed && !cores[c]->finished())
+                eo.exact[c] = cores[c]->exactSnapshot();
+        }
+        return eo;
+    }
+
+  private:
+    Tick
+    clockOf(std::size_t c) const
+    {
+        return clock_ ? clock_->cycles(static_cast<CoreId>(c))
+                      : cores[c]->committed();
+    }
+
+    void
+    step(interp::Interpreter &core, interp::CommitSink &sink)
+    {
+        core.step(sink);
+        if (++steps > maxInstrs_)
+            cwsp_fatal("instruction budget exceeded (", maxInstrs_, ")");
+    }
+
+    const arch::Scheme *clock_;
+    std::uint64_t maxInstrs_;
+};
+
+/** What one core does when a crash epoch begins. */
+struct EpochEntry
+{
+    enum class Kind { Fresh, Resume, Continue, Done } kind =
+        Kind::Fresh;
+    ResumePoint rp{};
+    /** Bundle owning rp's control snapshot (Resume only). It may be
+     *  a checkpoint's immutable prefix copy, hence const. */
+    std::shared_ptr<const RecordingBundle> bundle;
+    /** Exact crash-instant control state (Continue only): battery-
+     *  backed schemes persist the execution context on failure. */
+    interp::ControlSnapshot exact;
+    Word returnValue = 0; ///< Done only
+};
+
+/** Committed-instruction count at the begin of @p region (0: none). */
+std::uint64_t
+instrsAtBegin(const RecordingBundle &bundle, RegionId region)
+{
+    for (const auto &ev : bundle.regions) {
+        if (ev.region == region)
+            return ev.instrsAtBegin;
+    }
+    return 0;
+}
 
 } // namespace
 
@@ -95,45 +480,27 @@ static_assert(kDetectCycles < recovery_timing::kBootCycles,
               "detect phase must leave room for the scan phase");
 
 /**
- * Tile one recovery window into its phases. The phase durations sum
- * to @p window exactly: boot splits into detect + scan, then the
- * undo-replay and slice terms reproduce the window formula
- * (boot + records * perRecord + ops * perOp). Battery-backed windows
- * are boot-only, so zero records/ops degenerate correctly.
+ * One recovery window, tiled into its phases: boot splits into detect
+ * + scan, then undo replay and slice re-execution. Battery-backed
+ * windows are boot-only (zero records and ops).
  */
 RecoveryBreakdown
-tileRecoveryWindow(Tick window, std::uint64_t replay_records,
-                   std::uint64_t slice_ops)
+tileRecoveryWindow(std::uint64_t replay_records, std::uint64_t slice_ops)
 {
+    using namespace recovery_timing;
     RecoveryBreakdown b;
-    b.window = window;
     b.replayRecords = replay_records;
     b.sliceOps = slice_ops;
-    Tick undo = replay_records * recovery_timing::kCyclesPerReplayRecord;
-    Tick slice = slice_ops * recovery_timing::kCyclesPerSliceOp;
-    b.phase[static_cast<std::size_t>(RecoveryPhase::Detect)] =
-        std::min<Tick>(kDetectCycles, window);
-    Tick rest =
-        window -
-        b.phase[static_cast<std::size_t>(RecoveryPhase::Detect)];
-    // Scan absorbs whatever the undo/slice terms don't account for,
-    // so truncated windows (a nested crash cutting recovery short)
-    // still tile exactly.
-    Tick scan = 0;
-    if (undo + slice > rest) {
-        // Window shorter than the work terms (re-entered recovery):
-        // charge in phase order until the window runs out.
-        undo = std::min(undo, rest);
-        slice = rest - undo;
-    } else {
-        scan = rest - undo - slice;
-    }
-    b.phase[static_cast<std::size_t>(RecoveryPhase::Scan)] = scan;
-    b.phase[static_cast<std::size_t>(RecoveryPhase::UndoReplay)] =
-        undo;
-    b.phase[static_cast<std::size_t>(RecoveryPhase::SliceReexec)] =
-        slice;
-    b.phase[static_cast<std::size_t>(RecoveryPhase::Resume)] = 0;
+    auto phase = [&](RecoveryPhase p) -> Tick & {
+        return b.phase[static_cast<std::size_t>(p)];
+    };
+    phase(RecoveryPhase::Detect) = kDetectCycles;
+    phase(RecoveryPhase::Scan) = kBootCycles - kDetectCycles;
+    phase(RecoveryPhase::UndoReplay) =
+        replay_records * kCyclesPerReplayRecord;
+    phase(RecoveryPhase::SliceReexec) = slice_ops * kCyclesPerSliceOp;
+    for (Tick t : b.phase)
+        b.window += t;
     return b;
 }
 
@@ -343,17 +710,6 @@ WholeSystemSim::attachTraceSink(sim::TraceSink *sink)
 }
 
 RunResult
-WholeSystemSim::collectStats(
-    const std::vector<std::unique_ptr<interp::Interpreter>> &cores)
-{
-    std::vector<Word> rvs;
-    rvs.reserve(cores.size());
-    for (const auto &core : cores)
-        rvs.push_back(core->returnValue());
-    return collectStats(rvs);
-}
-
-RunResult
 WholeSystemSim::collectStats(const std::vector<Word> &return_values)
 {
     RunResult r;
@@ -363,7 +719,6 @@ WholeSystemSim::collectStats(const std::vector<Word> &return_values)
         r.instructions += scheme_->instrs(static_cast<CoreId>(c));
         r.returnValues.push_back(return_values[c]);
     }
-    lastCycles_ = r.cycles;
     r.meanRegionInstrs = scheme_->meanRegionInstrs();
     r.meanWbOccupancy = hierarchy_->meanWbOccupancy();
     r.wpqHits = hierarchy_->wpqHits();
@@ -389,53 +744,13 @@ WholeSystemSim::run(const std::vector<ThreadSpec> &threads,
                     threads.size() <= config_.numCores,
                 "thread count must be in [1, numCores]");
     reset();
-
-    std::vector<std::unique_ptr<interp::Interpreter>> cores;
+    CoreScheduler sched(threads.size(), scheme_.get(), max_instrs);
     for (std::size_t c = 0; c < threads.size(); ++c) {
-        cores.push_back(std::make_unique<interp::Interpreter>(
-            *module_, *memory_, static_cast<CoreId>(c)));
-        cores[c]->start(threads[c].entry, threads[c].args, *scheme_);
+        sched.add(c, *module_, *memory_)
+            .start(threads[c].entry, threads[c].args, *scheme_);
     }
-
-    std::uint64_t total = 0;
-    if (cores.size() == 1) {
-        // Single-core fast path: the min-clock scan below always
-        // selects the only core, so skip it (it is measurable at this
-        // loop's trip count).
-        interp::Interpreter &core = *cores[0];
-        while (!core.finished()) {
-            core.step(*scheme_);
-            if (++total > max_instrs)
-                cwsp_fatal("instruction budget exceeded (", max_instrs,
-                           ")");
-        }
-        return collectStats(cores);
-    }
-    while (true) {
-        // Run the core with the smallest clock next (deterministic
-        // interleaving for shared-memory workloads).
-        interp::Interpreter *next = nullptr;
-        Tick best = kTickNever;
-        CoreId best_core = 0;
-        for (std::size_t c = 0; c < cores.size(); ++c) {
-            if (cores[c]->finished())
-                continue;
-            Tick t = scheme_->cycles(static_cast<CoreId>(c));
-            if (t < best) {
-                best = t;
-                next = cores[c].get();
-                best_core = static_cast<CoreId>(c);
-            }
-        }
-        (void)best_core;
-        if (!next)
-            break;
-        next->step(*scheme_);
-        if (++total > max_instrs)
-            cwsp_fatal("instruction budget exceeded (", max_instrs,
-                       ")");
-    }
-    return collectStats(cores);
+    sched.advance(kTickNever, *scheme_);
+    return collectStats(sched.outcome(false).returns);
 }
 
 RunResult
@@ -445,96 +760,10 @@ WholeSystemSim::runReplay(const CommitStream &stream,
     cwsp_assert(stream.module == module_,
                 "commit stream recorded for a different module");
     reset();
-    ReplayOutcome ro =
-        replaySegment(stream, kTickNever, nullptr, 0, max_instrs);
-    cwsp_assert(ro.finished, "uncut replay must reach stream end");
+    StreamCursor(stream, *memory_, scheme_.get(), nullptr, nullptr,
+                 max_instrs)
+        .advance(kTickNever);
     return collectStats(std::vector<Word>{stream.returnValue});
-}
-
-WholeSystemSim::ReplayOutcome
-WholeSystemSim::replaySegment(const CommitStream &stream, Tick crash_dt,
-                              RecordingBundle *bundle, std::size_t keep,
-                              std::uint64_t max_instrs)
-{
-    const bool cut = crash_dt != kTickNever;
-    arch::Scheme &sch = *scheme_;
-    constexpr CoreId core = 0;
-    ReplayOutcome ro;
-    std::size_t boundary_idx = 0;
-    std::vector<RegionId> ring; // snapshot prune window (FIFO)
-
-    for (const CommitStream::Op &op : stream.ops) {
-        if (op.kind == CommitStream::kBatch1 ||
-            op.kind == CommitStream::kBatch2) {
-            const Tick per =
-                op.kind == CommitStream::kBatch1 ? 1 : 2;
-            std::uint64_t run = op.aux;
-            if (cut) {
-                // Same cut rule as the interpreted epoch loop: a step
-                // executes iff its start cycle has not passed the
-                // crash instant; every batched step costs `per`.
-                Tick c = sch.cycles(core);
-                run = c > crash_dt
-                          ? 0
-                          : std::min<std::uint64_t>(
-                                op.aux, (crash_dt - c) / per + 1);
-            }
-            ro.steps += run;
-            if (ro.steps > max_instrs)
-                cwsp_fatal("instruction budget exceeded (",
-                           max_instrs, ")");
-            sch.retireBatch(core, run, static_cast<Tick>(run) * per);
-            if (run < op.aux)
-                return ro; // crash inside the batch
-            continue;
-        }
-
-        if (op.flags & CommitStream::kFlagNewStep) {
-            if (cut && sch.cycles(core) > crash_dt)
-                return ro;
-            if (++ro.steps > max_instrs)
-                cwsp_fatal("instruction budget exceeded (",
-                           max_instrs, ")");
-        }
-
-        interp::CommitInfo info;
-        info.kind = static_cast<interp::CommitKind>(op.kind);
-        info.core = core;
-        info.addr = op.addr;
-        info.storeValue = op.value;
-        info.isCheckpoint = (op.flags & CommitStream::kFlagCkpt) != 0;
-        info.func = op.func;
-        if (info.kind == interp::CommitKind::Boundary)
-            info.staticRegion = op.aux;
-        // The interpreter writes memory before the sink callback.
-        if (info.kind == interp::CommitKind::Store ||
-            info.kind == interp::CommitKind::Atomic) {
-            memory_->write(op.addr, op.value);
-        }
-        sch.onCommit(info);
-        if (info.kind == interp::CommitKind::Boundary) {
-            if (bundle) {
-                // Mirror RecordingSink's snapshot window from the
-                // stream's flattened frames.
-                RegionId id = sch.currentRegion(core);
-                const CommitStream::SnapRef &ref =
-                    stream.snapRefs[boundary_idx];
-                auto &snap = bundle->snapshots[id];
-                snap.frames.assign(
-                    stream.frames.begin() + ref.begin,
-                    stream.frames.begin() + ref.begin + ref.count);
-                ring.push_back(id);
-                if (ring.size() > keep) {
-                    bundle->snapshots.erase(ring.front());
-                    ring.erase(ring.begin());
-                }
-            }
-            ++boundary_idx;
-        }
-    }
-    ro.finished = true;
-    ro.finishedAt = sch.cycles(core);
-    return ro;
 }
 
 void
@@ -641,25 +870,6 @@ WholeSystemSim::runWithCrash(const std::vector<ThreadSpec> &threads,
                           fault::FaultPlan{}, max_instrs);
 }
 
-namespace {
-
-/** What one core does when a nested-crash epoch begins. */
-struct EpochEntry
-{
-    enum class Kind { Fresh, Resume, Continue, Done } kind =
-        Kind::Fresh;
-    ResumePoint rp{};
-    /** Bundle owning rp's control snapshot (Resume only). It may be
-     *  a checkpoint's immutable prefix copy, hence const. */
-    std::shared_ptr<const RecordingBundle> bundle;
-    /** Exact crash-instant control state (Continue only): battery-
-     *  backed schemes persist the execution context on failure. */
-    interp::ControlSnapshot exact;
-    Word returnValue = 0; ///< Done only
-};
-
-} // namespace
-
 CrashRunResult
 WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                                const fault::CrashSchedule &schedule,
@@ -670,7 +880,6 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
 {
     using recovery_timing::kBootCycles;
     using recovery_timing::kCyclesPerReplayRecord;
-    using recovery_timing::kCyclesPerSliceOp;
 
     cwsp_assert(threads.size() >= 1 &&
                     threads.size() <= config_.numCores,
@@ -678,6 +887,7 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     cwsp_assert(!schedule.empty(),
                 "crash schedule must hold at least one failure");
     const std::size_t n = threads.size();
+    const bool battery = config_.scheme.batteryBacked;
 
     // A fork is only sound when the checkpoint describes exactly this
     // run: same program, scheme, thread set, and first crash tick. An
@@ -714,6 +924,10 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         if (out.fork != ForkFallback::None)
             fork = nullptr;
     }
+    const std::uint64_t reserve =
+        recordingReserve(expectedInstrs_, replay, max_instrs);
+    const CommitStream *stream =
+        usableStream(replay, *module_, config_, threads);
 
     // Epoch state: the durable NVM image, the stamped checkpoint-slot
     // image of the latest failure, and each core's entry action.
@@ -725,21 +939,79 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     bool havePending = true;
     Tick pendingDt = schedule.ticks[0];
     bool firstEpoch = true;
-    std::size_t keep = 4 * config_.scheme.rbtCapacity + 16;
+
+    auto traceResume = [&](std::size_t c, Tick when, bool restart) {
+        if (trace_) {
+            trace_->record(sim::TraceEventKind::RecoveryResume,
+                           sim::coreLane(static_cast<CoreId>(c)), when,
+                           0, 0, restart ? 1 : 0);
+        }
+    };
+    // Degrade to a full restart: pristine memory, every core from
+    // program entry.
+    auto restartAll = [&] {
+        durable.clear();
+        durableEmpty = true;
+        slotImage.clear();
+        for (auto &e : entries)
+            e = EpochEntry{};
+    };
+    // Create and enter each core of an epoch on @p mem as its entry
+    // says. A resume slice that reads a checkpoint slot the media
+    // dropped degrades the run to a full restart and returns false;
+    // the caller then retries the epoch.
+    auto enterCores = [&](CoreScheduler &sched, interp::SparseMemory &mem,
+                          interp::CommitSink &sink,
+                          interp::CommitSink *boundary_sink, Tick when) {
+        for (std::size_t c = 0; c < n; ++c) {
+            const EpochEntry &e = entries[c];
+            sched.cores[c].reset();
+            if (e.kind == EpochEntry::Kind::Done) {
+                sched.finishedAt[c] = 0;
+                continue;
+            }
+            interp::Interpreter &core = sched.add(c, *module_, mem);
+            if (e.kind == EpochEntry::Kind::Fresh) {
+                if (!firstEpoch)
+                    traceResume(c, when, true);
+                core.start(threads[c].entry, threads[c].args, sink);
+                continue;
+            }
+            if (e.kind == EpochEntry::Kind::Continue) {
+                core.restoreExact(e.exact);
+                traceResume(c, when, false);
+                continue;
+            }
+            ResumeStatus st = prepareResume(
+                core, e.rp, *e.bundle, *module_, trace_, when,
+                boundary_sink, slotImage.empty() ? nullptr : &slotImage);
+            if (st == ResumeStatus::SlotFault) {
+                ++out.faults.staleSlotsDetected;
+                ++out.faults.fullRestarts;
+                restartAll();
+                return false;
+            }
+            cwsp_assert(st == ResumeStatus::Resumed,
+                        "resume entry cannot need a restart");
+            if (e.rp.resumeAfterAtomic)
+                ++out.faults.atomicResumes;
+        }
+        return true;
+    };
 
     while (havePending) {
-        // ---- Timed execution epoch, failure at epoch tick
-        // pendingDt. Each epoch runs on fresh hardware state (power
-        // loss empties every volatile structure) over the recovered
-        // durable image.
+        // ---- 1. Execute up to the failure at epoch tick pendingDt,
+        // on fresh hardware state (power loss empties every volatile
+        // structure) over the recovered durable image. The first
+        // epoch of a forked sweep restores its checkpoint instead; a
+        // pristine single-core start (the first epoch, and every
+        // full-restart retry) replays the stream, which commits
+        // exactly what interpretation would; anything else
+        // interprets.
         reset();
-        // The first epoch of a forked sweep restores the checkpoint
-        // instead of executing the pre-crash prefix. Later epochs
-        // (nested crashes) always execute normally.
-        const bool forkEpoch = fork != nullptr && firstEpoch;
-        std::shared_ptr<RecordingBundle> rec; // mutable; !forkEpoch
         std::shared_ptr<const RecordingBundle> bundle;
-        if (forkEpoch) {
+        EpochOutcome eo;
+        if (fork && firstEpoch) {
             // The checkpoint's bundle copy stands in for this epoch's
             // recording; battery-backed schemes also need the exact
             // capture-instant memory image (the non-battery crash
@@ -749,47 +1021,8 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                           ? std::make_unique<interp::SparseMemory>(
                                 *fork->memory)
                           : std::make_unique<interp::SparseMemory>();
-        } else {
-            memory_ = std::make_unique<interp::SparseMemory>(durable);
-            rec = std::make_shared<RecordingBundle>();
-            bundle = rec;
-            // Tightest available instruction estimate for log
-            // reserves: caller hint, else the stream's exact count,
-            // else the budget.
-            std::uint64_t expected = expectedInstrs_;
-            if (expected == 0 && replay)
-                expected = replay->steps;
-            scheme_->enableRecording(
-                &rec->stores, &rec->regions, &rec->io,
-                expected != 0 ? std::min(max_instrs, 2 * expected)
-                              : max_instrs);
-        }
-
-        // A pristine-start epoch on one core (the first epoch, and
-        // every full-restart retry) commits exactly the recorded
-        // stream until the crash, so the timing models can be driven
-        // from the stream directly — identical commit sequence,
-        // identical bundle/stats/trace — with no interpretation.
-        // Battery-backed schemes are excluded: their crash handling
-        // snapshots live interpreter state.
-        const bool replayEpoch =
-            !forkEpoch && replay && n == 1 &&
-            !config_.scheme.batteryBacked &&
-            entries[0].kind == EpochEntry::Kind::Fresh &&
-            durableEmpty && slotImage.empty() &&
-            replay->matches(*module_, threads[0].entry,
-                            threads[0].args);
-
-        std::vector<std::unique_ptr<interp::Interpreter>> cores;
-        cores.reserve(n);
-        std::vector<Tick> finished_at(n, kTickNever);
-        std::vector<Word> coreReturns(n, 0);
-        std::uint64_t total = 0;
-
-        if (forkEpoch) {
-            // Restore the capture-instant component state onto the
-            // freshly reset tree (reset() rebuilt it with identical
-            // configuration, so the positional protocol lines up).
+            // reset() rebuilt the tree with identical configuration,
+            // so the positional state protocol lines up.
             sim::StateReader r(fork->componentBytes);
             scheme_->restoreState(r);
             hierarchy_->restoreState(r);
@@ -797,633 +1030,295 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                         "checkpoint component bytes mismatch");
             if (trace_ && fork->hasTrace) {
                 sim::StateReader tr(fork->traceBytes);
-                bool ok = trace_->restoreState(tr);
-                cwsp_assert(ok,
+                cwsp_assert(trace_->restoreState(tr),
                             "trace geometry was gated before fork");
-                (void)ok;
             }
             if (sampler_ && fork->hasSampler) {
                 sim::StateReader sr(fork->samplerBytes);
-                bool ok = sampler_->restoreState(sr);
-                cwsp_assert(ok,
+                cwsp_assert(sampler_->restoreState(sr),
                             "sampler geometry was gated before fork");
-                (void)ok;
             }
-            finished_at = fork->finishedAt;
-            coreReturns = fork->coreReturns;
-            total = fork->steps;
-        } else if (replayEpoch) {
-            if (!firstEpoch && trace_) {
-                trace_->record(sim::TraceEventKind::RecoveryResume,
-                               sim::coreLane(0), 0, 0, 0, 1);
-            }
-            ReplayOutcome ro = replaySegment(*replay, pendingDt,
-                                             rec.get(), keep,
-                                             max_instrs);
-            total = ro.steps;
-            if (ro.finished) {
-                finished_at[0] = ro.finishedAt;
-                coreReturns[0] = replay->returnValue;
+            eo = EpochOutcome{fork->steps, fork->finishedAt,
+                              fork->coreReturns, fork->coreFinished,
+                              fork->exactSnaps};
+        } else {
+            memory_ = std::make_unique<interp::SparseMemory>(durable);
+            auto rec = std::make_shared<RecordingBundle>();
+            bundle = rec;
+            scheme_->enableRecording(&rec->stores, &rec->regions,
+                                     &rec->io, reserve);
+            SnapshotWindow window(*rec, config_);
+            if (stream && entries[0].kind == EpochEntry::Kind::Fresh &&
+                durableEmpty && slotImage.empty()) {
+                if (!firstEpoch)
+                    traceResume(0, 0, true);
+                StreamCursor cursor(*stream, *memory_, scheme_.get(),
+                                    nullptr, &window, max_instrs);
+                cursor.advance(pendingDt);
+                eo = cursor.outcome();
+            } else {
+                CoreScheduler sched(n, scheme_.get(), max_instrs);
+                RecordingSink sink(*scheme_, window, sched.cores);
+                if (!enterCores(sched, *memory_, sink, &sink, 0))
+                    continue;
+                sched.advance(pendingDt, sink);
+                eo = sched.outcome(battery);
             }
             if (!firstEpoch)
-                out.reexecutedInstrs += total;
-        } else {
-        RecordingSink sink(*scheme_, *rec, cores, keep);
-        bool slotFault = false;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (entries[c].kind == EpochEntry::Kind::Done) {
-                cores.push_back(nullptr);
-                continue;
-            }
-            cores.push_back(std::make_unique<interp::Interpreter>(
-                *module_, *memory_, static_cast<CoreId>(c)));
-            if (entries[c].kind == EpochEntry::Kind::Fresh) {
-                if (!firstEpoch && trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)), 0, 0,
-                        0, 1);
-                }
-                cores[c]->start(threads[c].entry, threads[c].args,
-                                sink);
-                continue;
-            }
-            if (entries[c].kind == EpochEntry::Kind::Continue) {
-                cores[c]->restoreExact(entries[c].exact);
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)), 0, 0,
-                        0, 0);
-                }
-                continue;
-            }
-            ResumeStatus st = prepareResume(
-                *cores[c], entries[c].rp, *entries[c].bundle,
-                *module_, trace_, 0, &sink,
-                slotImage.empty() ? nullptr : &slotImage);
-            if (st == ResumeStatus::SlotFault) {
-                slotFault = true;
-                break;
-            }
-            cwsp_assert(st == ResumeStatus::Resumed,
-                        "resume entry cannot need a restart");
-            if (entries[c].rp.resumeAfterAtomic)
-                ++out.faults.atomicResumes;
+                out.reexecutedInstrs += eo.steps;
         }
-        if (slotFault) {
-            // A checkpoint slot the media dropped: the recovery slice
-            // caught the stale value. Degrade to a full restart on
-            // pristine memory and retry this epoch.
-            ++out.faults.staleSlotsDetected;
-            ++out.faults.fullRestarts;
-            durable.clear();
-            durableEmpty = true;
-            slotImage.clear();
-            for (auto &e : entries)
-                e = EpochEntry{};
-            continue;
-        }
-
-        for (std::size_t c = 0; c < n; ++c) {
-            if (entries[c].kind == EpochEntry::Kind::Done)
-                finished_at[c] = 0;
-        }
-        while (true) {
-            interp::Interpreter *next = nullptr;
-            Tick best = kTickNever;
-            for (std::size_t c = 0; c < n; ++c) {
-                if (!cores[c])
-                    continue;
-                auto cid = static_cast<CoreId>(c);
-                if (cores[c]->finished()) {
-                    if (finished_at[c] == kTickNever)
-                        finished_at[c] = scheme_->cycles(cid);
-                    continue;
-                }
-                Tick t = scheme_->cycles(cid);
-                if (t > pendingDt)
-                    continue; // this core has reached the crash
-                if (t < best) {
-                    best = t;
-                    next = cores[c].get();
-                }
-            }
-            if (!next)
-                break;
-            next->step(sink);
-            if (++total > max_instrs)
-                cwsp_fatal("instruction budget exceeded before crash");
-        }
-        for (std::size_t c = 0; c < n; ++c) {
-            if (cores[c] && cores[c]->finished() &&
-                finished_at[c] == kTickNever) {
-                finished_at[c] =
-                    scheme_->cycles(static_cast<CoreId>(c));
-            }
-            if (cores[c])
-                coreReturns[c] = cores[c]->returnValue();
-        }
+        ++out.faults.crashesInjected;
         if (!firstEpoch)
-            out.reexecutedInstrs += total;
-        } // interpreted epoch
+            ++out.faults.nestedCrashes;
+        if (firstEpoch)
+            out.result = collectStats(eo.returns);
+        auto noteFirstCrash = [&](const interp::SparseMemory *image) {
+            if (!firstEpoch || !captureFirstCrash_)
+                return;
+            out.hasFirstCrash = true;
+            out.firstFullRestart = image == nullptr;
+            if (image)
+                out.firstDurableImage = *image;
+            out.firstStores = bundle->stores;
+        };
 
-        if (config_.scheme.batteryBacked) {
+        // ---- 2. Crash state: what survives, and where each core
+        // enters the next epoch.
+        std::vector<ReplayStep> replayed; // undo-replay writes applied
+        std::uint64_t sliceOps = 0;       // recovery-slice ops to run
+        if (battery) {
             // Battery flush (Section II-C): the residual energy
             // drains the redo buffer and persists the execution
             // context, so every committed store, buffered device op,
             // and live register survives the failure. Recovery is an
             // exact continuation after reboot — no undo replay, no
             // region re-execution, no lost work.
-            ++out.faults.crashesInjected;
-            if (!firstEpoch)
-                ++out.faults.nestedCrashes;
             if (trace_) {
                 trace_->record(sim::TraceEventKind::CrashInject, 0,
                                pendingDt);
             }
             durable = *memory_;
             durableEmpty = false;
-            if (firstEpoch && captureFirstCrash_) {
-                out.hasFirstCrash = true;
-                out.firstFullRestart = false;
-                out.firstDurableImage = durable;
-                out.firstStores = bundle->stores;
-            }
+            noteFirstCrash(&durable);
             out.persistedStores += bundle->stores.size();
-            for (const auto &op : bundle->io)
-                out.ioStream.push_back(op);
-            if (firstEpoch) {
-                bool any_work = false;
-                for (std::size_t c = 0; c < n; ++c) {
-                    bool running =
-                        forkEpoch
-                            ? fork->coreFinished[c] == 0
-                            : (cores[c] && !cores[c]->finished());
-                    any_work |= running;
+            out.ioStream.insert(out.ioStream.end(), bundle->io.begin(),
+                                bundle->io.end());
+            for (std::size_t c = 0; c < n; ++c) {
+                const bool running = !eo.finished[c];
+                if (firstEpoch) {
+                    out.crashed |= running;
                     out.resumeRegions.push_back(
                         running ? scheme_->currentRegion(
                                       static_cast<CoreId>(c))
                                 : 0);
                 }
-                out.crashed = any_work;
-                // coreReturns mirrors each core's returnValue() at
-                // the crash instant (restored from the checkpoint on
-                // a forked epoch), so this equals collectStats(cores).
-                out.result = collectStats(coreReturns);
-            }
-            for (std::size_t c = 0; c < n; ++c) {
                 EpochEntry &e = entries[c];
                 if (e.kind == EpochEntry::Kind::Done)
                     continue;
-                bool fin = forkEpoch ? fork->coreFinished[c] != 0
-                                     : cores[c]->finished();
-                if (fin) {
-                    Word rv = forkEpoch ? fork->coreReturns[c]
-                                        : cores[c]->returnValue();
-                    e = EpochEntry{};
-                    e.kind = EpochEntry::Kind::Done;
-                    e.returnValue = rv;
-                } else {
-                    auto snap = forkEpoch
-                                    ? fork->exactSnaps[c]
-                                    : cores[c]->exactSnapshot();
-                    e = EpochEntry{};
+                e = EpochEntry{};
+                if (running) {
                     e.kind = EpochEntry::Kind::Continue;
-                    e.exact = std::move(snap);
+                    e.exact = std::move(eo.exact[c]);
+                } else {
+                    e.kind = EpochEntry::Kind::Done;
+                    e.returnValue = eo.returns[c];
                 }
             }
-            const Tick crashAt = pendingDt;
+        } else {
+            // Compute the durable state at this failure, seeding any
+            // media faults bound to it.
+            CrashComputeOptions copts;
+            copts.baseNvm = &durable;
+            copts.faults = &faults;
+            copts.crashIndex = static_cast<std::uint32_t>(scheduleIdx);
+            copts.stats = &out.faults;
+            copts.trace = trace_;
+            for (const EpochEntry &e : entries) {
+                copts.coreDone.push_back(e.kind == EpochEntry::Kind::Done);
+                copts.coreResumed.push_back(e.kind ==
+                                            EpochEntry::Kind::Resume);
+            }
+            CrashState cs = computeCrashState(
+                pendingDt, bundle->stores, bundle->regions,
+                static_cast<std::uint32_t>(n), eo.finishedAt,
+                bundle->io, copts);
+
+            if (firstEpoch) {
+                // Lost work: instructions committed past each core's
+                // resume point.
+                for (std::size_t c = 0; c < n; ++c) {
+                    const ResumePoint &rp = cs.resume[c];
+                    const bool resumes = rp.hasWork && !rp.restart;
+                    out.crashed |= rp.hasWork;
+                    out.resumeRegions.push_back(resumes ? rp.region : 0);
+                    if (rp.hasWork) {
+                        out.lostWork +=
+                            scheme_->instrs(static_cast<CoreId>(c)) -
+                            (resumes ? instrsAtBegin(*bundle, rp.region)
+                                     : 0);
+                    }
+                }
+                // Before the fault plan mutates cs.nvm (stale-slot
+                // injection below): the checker wants the image
+                // recovery actually reconstructed.
+                noteFirstCrash(cs.fullRestart ? nullptr : &cs.nvm);
+            }
+
+            out.persistedStores += cs.persistedStores;
+            out.revertedStores += cs.revertedStores;
+            out.ioStream.insert(out.ioStream.end(),
+                                cs.releasedIo.begin(),
+                                cs.releasedIo.end());
+
+            if (!cs.fullRestart) {
+                seedStaleSlots(cs, faults,
+                               static_cast<std::uint32_t>(scheduleIdx),
+                               bundle->snapshots, *module_, out.faults);
+            }
+
+            // Carry the recovered image and each core's next entry.
+            if (cs.fullRestart) {
+                restartAll();
+            } else {
+                durable = std::move(cs.nvm);
+                durableEmpty = false;
+                slotImage = std::move(cs.ckptSlotImage);
+                replayed = std::move(cs.replaySteps);
+                for (std::size_t c = 0; c < n; ++c) {
+                    const ResumePoint &rp = cs.resume[c];
+                    EpochEntry &e = entries[c];
+                    if (!rp.hasWork) {
+                        if (e.kind != EpochEntry::Kind::Done) {
+                            e = EpochEntry{};
+                            e.kind = EpochEntry::Kind::Done;
+                            e.returnValue = eo.returns[c];
+                        }
+                        continue;
+                    }
+                    if (rp.restart) {
+                        // No boundary committed in this epoch: a core
+                        // that entered it by resuming re-resumes at
+                        // the previous epoch's point, with its
+                        // bundle; any other restarts from entry.
+                        if (e.kind != EpochEntry::Kind::Resume)
+                            e = EpochEntry{};
+                    } else {
+                        e = EpochEntry{};
+                        e.kind = EpochEntry::Kind::Resume;
+                        e.rp = rp;
+                        e.bundle = bundle;
+                    }
+                    if (e.kind == EpochEntry::Kind::Resume) {
+                        sliceOps += module_->function(e.rp.func)
+                                        .recoverySlices()[e.rp.staticRegion]
+                                        .ops.size();
+                    }
+                }
+            }
+        }
+
+        // ---- 3. The recovery window: boot, then (undo-log schemes)
+        // undo replay and recovery slices. A failure landing inside it
+        // re-enters recovery from scratch: rebuild the durable image
+        // exactly as the interrupted undo-replay pass left it, run a
+        // full second pass over it, and verify it converges to the
+        // same image (the protocol's idempotence obligation). With no
+        // replay pass (battery flush, full restart) the re-entry is a
+        // pure reboot.
+        const RecoveryBreakdown rb =
+            tileRecoveryWindow(replayed.size(), sliceOps);
+        const Tick window = rb.window;
+        const Tick crashAt = pendingDt;
+        auto nextFailure = [&] {
             ++scheduleIdx;
             havePending = scheduleIdx < schedule.ticks.size();
             pendingDt = havePending ? schedule.ticks[scheduleIdx] : 0;
-            Tick window = kBootCycles;
-            while (havePending && pendingDt < window) {
-                // A nested failure inside the boot window: nothing
-                // volatile has been rebuilt yet, so the re-entry is a
-                // pure reboot.
-                ++out.faults.crashesInjected;
-                ++out.faults.nestedCrashes;
-                ++out.faults.recoveryCrashes;
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryReentry, 0,
-                        pendingDt, 0, scheduleIdx, 0);
-                }
-                ++scheduleIdx;
-                havePending = scheduleIdx < schedule.ticks.size();
-                pendingDt =
-                    havePending ? schedule.ticks[scheduleIdx] : 0;
-            }
-            out.recoveryWindows.push_back(window);
-            {
-                RecoveryBreakdown rb =
-                    tileRecoveryWindow(window, 0, 0);
-                traceRecoveryPhases(trace_, crashAt, rb);
-                out.recoveryBreakdowns.push_back(rb);
-            }
-            if (havePending)
-                pendingDt -= window;
-            firstEpoch = false;
-            continue;
-        }
-
-        // Compute the durable state at this failure, seeding any
-        // media faults bound to it.
-        CrashComputeOptions copts;
-        copts.baseNvm = &durable;
-        copts.faults = &faults;
-        copts.crashIndex = static_cast<std::uint32_t>(scheduleIdx);
-        copts.stats = &out.faults;
-        copts.coreDone.resize(n);
-        copts.coreResumed.resize(n);
-        for (std::size_t c = 0; c < n; ++c) {
-            copts.coreDone[c] =
-                entries[c].kind == EpochEntry::Kind::Done;
-            copts.coreResumed[c] =
-                entries[c].kind == EpochEntry::Kind::Resume;
-        }
-        copts.trace = trace_;
-        CrashState cs = computeCrashState(
-            pendingDt, bundle->stores, bundle->regions,
-            static_cast<std::uint32_t>(n), finished_at, bundle->io,
-            copts);
-        ++out.faults.crashesInjected;
-        if (!firstEpoch)
-            ++out.faults.nestedCrashes;
-
-        if (firstEpoch) {
-            bool any_work = false;
-            for (const auto &rp : cs.resume)
-                any_work |= rp.hasWork;
-            out.crashed = any_work;
-            // Lost work: instructions committed past each core's
-            // resume point.
-            for (std::size_t c = 0; c < n; ++c) {
-                const ResumePoint &rp = cs.resume[c];
-                if (!rp.hasWork) {
-                    out.resumeRegions.push_back(0);
-                    continue;
-                }
-                out.resumeRegions.push_back(rp.restart ? 0
-                                                       : rp.region);
-                std::uint64_t committed =
-                    scheme_->instrs(static_cast<CoreId>(c));
-                std::uint64_t at_resume = 0;
-                if (!rp.restart) {
-                    for (const auto &ev : bundle->regions) {
-                        if (ev.region == rp.region) {
-                            at_resume = ev.instrsAtBegin;
-                            break;
-                        }
-                    }
-                }
-                out.lostWork += committed - at_resume;
-            }
-            out.result = collectStats(coreReturns);
-            if (captureFirstCrash_) {
-                // Snapshot before the fault plan mutates cs.nvm
-                // (stale-slot injection below): the checker wants the
-                // image recovery actually reconstructed.
-                out.hasFirstCrash = true;
-                out.firstFullRestart = cs.fullRestart;
-                if (!cs.fullRestart)
-                    out.firstDurableImage = cs.nvm;
-                out.firstStores = bundle->stores;
-            }
-        }
-
-        out.persistedStores += cs.persistedStores;
-        out.revertedStores += cs.revertedStores;
-        for (const auto &op : cs.releasedIo)
-            out.ioStream.push_back(op);
-
-        // Stale-checkpoint-slot injection: drop the newest stamped
-        // write to a slot the resume slice will actually load, so the
-        // validation path is genuinely exercised.
-        if (!cs.fullRestart) {
-            for (const auto &f : faults.faultsFor(
-                     static_cast<std::uint32_t>(scheduleIdx))) {
-                if (f.kind != fault::FaultKind::StaleCheckpointSlot)
-                    continue;
-                ++out.faults.faultsRequested;
-                bool applied = false;
-                for (std::size_t c = 0; c < n && !applied; ++c) {
-                    const ResumePoint &rp = cs.resume[c];
-                    if (!rp.hasWork || rp.restart)
-                        continue;
-                    auto snap = bundle->snapshots.find(rp.region);
-                    if (snap == bundle->snapshots.end())
-                        continue;
-                    std::size_t depth =
-                        snap->second.frames.size() - 1;
-                    const ir::Function &fn =
-                        module_->function(rp.func);
-                    if (rp.staticRegion >=
-                        fn.recoverySlices().size()) {
-                        continue;
-                    }
-                    const auto &ops =
-                        fn.recoverySlices()[rp.staticRegion].ops;
-                    for (const auto &op : ops) {
-                        if (op.kind != ir::RsOp::Kind::LoadSlot)
-                            continue;
-                        Addr slot = interp::ckptSlotAddr(
-                            static_cast<CoreId>(c), depth, op.slot);
-                        auto img = cs.ckptSlotImage.find(slot);
-                        if (img == cs.ckptSlotImage.end() ||
-                            img->second.value == img->second.prev) {
-                            continue;
-                        }
-                        cs.nvm.write(slot, img->second.prev);
-                        applied = true;
-                        break;
-                    }
-                }
-                if (applied)
-                    ++out.faults.faultsApplied;
-            }
-        }
-
-        // Carry the recovered image and each core's next entry.
-        if (cs.fullRestart) {
-            durable.clear();
-            durableEmpty = true;
-            slotImage.clear();
-            for (auto &e : entries)
-                e = EpochEntry{};
-        } else {
-            durable = std::move(cs.nvm);
-            durableEmpty = false;
-            slotImage = std::move(cs.ckptSlotImage);
-            std::vector<EpochEntry> nextEntries(n);
-            for (std::size_t c = 0; c < n; ++c) {
-                const ResumePoint &rp = cs.resume[c];
-                EpochEntry &e = nextEntries[c];
-                if (!rp.hasWork) {
-                    e.kind = EpochEntry::Kind::Done;
-                    e.returnValue =
-                        entries[c].kind == EpochEntry::Kind::Done
-                            ? entries[c].returnValue
-                            : coreReturns[c];
-                } else if (rp.restart &&
-                           entries[c].kind ==
-                               EpochEntry::Kind::Resume) {
-                    // No boundary committed in this epoch: re-resume
-                    // at the previous epoch's point, with its bundle.
-                    e = entries[c];
-                } else if (rp.restart) {
-                    e.kind = EpochEntry::Kind::Fresh;
-                } else {
-                    e.kind = EpochEntry::Kind::Resume;
-                    e.rp = rp;
-                    e.bundle = bundle;
-                }
-            }
-            entries = std::move(nextEntries);
-        }
-
-        // Recovery is a timed window: boot + undo replay + slices.
-        Tick window = kBootCycles;
-        std::uint64_t replayRecords = 0;
-        std::uint64_t sliceOpsTotal = 0;
-        if (!cs.fullRestart) {
-            replayRecords = cs.replaySteps.size();
-            window += static_cast<Tick>(replayRecords) *
-                      kCyclesPerReplayRecord;
-            for (std::size_t c = 0; c < n; ++c) {
-                if (entries[c].kind != EpochEntry::Kind::Resume)
-                    continue;
-                const ir::Function &fn =
-                    module_->function(entries[c].rp.func);
-                std::uint64_t ops =
-                    fn.recoverySlices()[entries[c].rp.staticRegion]
-                        .ops.size();
-                sliceOpsTotal += ops;
-                window += static_cast<Tick>(ops) * kCyclesPerSliceOp;
-            }
-        }
-
-        const Tick crashAt = pendingDt;
-        ++scheduleIdx;
-        havePending = scheduleIdx < schedule.ticks.size();
-        pendingDt = havePending ? schedule.ticks[scheduleIdx] : 0;
-
-        bool replayRan =
-            !cs.fullRestart && !cs.replaySteps.empty();
-        if (replayRan)
+        };
+        nextFailure();
+        if (!replayed.empty())
             ++out.faults.undoReplayPasses;
-
-        // Nested failures landing inside the recovery window:
-        // recovery re-enters from scratch. Reconstruct the durable
-        // image exactly as the interrupted replay pass left it, run a
-        // full second pass over it, and verify it converges to the
-        // same image (the protocol's idempotence obligation).
         while (havePending && pendingDt < window) {
             ++out.faults.crashesInjected;
             ++out.faults.nestedCrashes;
             ++out.faults.recoveryCrashes;
             std::size_t k = 0;
-            if (replayRan && pendingDt > kBootCycles) {
-                k = std::min(
-                    cs.replaySteps.size(),
-                    static_cast<std::size_t>(
-                        (pendingDt - kBootCycles) /
-                        kCyclesPerReplayRecord));
+            if (!replayed.empty() && pendingDt > kBootCycles) {
+                k = std::min(replayed.size(),
+                             static_cast<std::size_t>(
+                                 (pendingDt - kBootCycles) /
+                                 kCyclesPerReplayRecord));
             }
             out.faults.partialReplayRecords += k;
             if (trace_) {
-                trace_->record(sim::TraceEventKind::RecoveryReentry,
-                               0, pendingDt, 0, scheduleIdx, k);
+                trace_->record(sim::TraceEventKind::RecoveryReentry, 0,
+                               pendingDt, 0, scheduleIdx, k);
             }
-            if (replayRan) {
+            if (!replayed.empty()) {
                 interp::SparseMemory partial = durable;
-                for (std::size_t i = cs.replaySteps.size();
-                     i-- > k;) {
-                    partial.write(cs.replaySteps[i].addr,
-                                  cs.replaySteps[i].before);
-                }
-                for (const auto &st : cs.replaySteps)
+                for (std::size_t i = replayed.size(); i-- > k;)
+                    partial.write(replayed[i].addr, replayed[i].before);
+                for (const auto &st : replayed)
                     partial.write(st.addr, st.after);
                 cwsp_assert(partial.equals(durable),
                             "undo replay is not idempotent across a "
                             "nested failure");
                 ++out.faults.undoReplayPasses;
             }
-            ++scheduleIdx;
-            havePending = scheduleIdx < schedule.ticks.size();
-            pendingDt =
-                havePending ? schedule.ticks[scheduleIdx] : 0;
+            nextFailure();
         }
         out.recoveryWindows.push_back(window);
-        {
-            RecoveryBreakdown rb = tileRecoveryWindow(
-                window, replayRecords, sliceOpsTotal);
-            traceRecoveryPhases(trace_, crashAt, rb);
-            out.recoveryBreakdowns.push_back(rb);
-        }
+        traceRecoveryPhases(trace_, crashAt, rb);
+        out.recoveryBreakdowns.push_back(rb);
         if (havePending)
             pendingDt -= window; // epoch-relative crash instant
         firstEpoch = false;
     }
 
-    // ---- Final epoch: recovery + functional completion on the last
+    // ---- 4. Final epoch: recovery and untimed completion on the last
     // recovered image (no further failures scheduled).
-    auto recovered =
-        std::make_unique<interp::SparseMemory>(std::move(durable));
-    IoLogSink null_sink(out.ioStream);
-    std::vector<std::unique_ptr<interp::Interpreter>> post(n);
-    bool retry = true;
-    while (retry) {
-        retry = false;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (entries[c].kind == EpochEntry::Kind::Done) {
-                post[c].reset();
-                continue;
-            }
-            post[c] = std::make_unique<interp::Interpreter>(
-                *module_, *recovered, static_cast<CoreId>(c));
-            if (entries[c].kind == EpochEntry::Kind::Fresh) {
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)),
-                        out.crashTick, 0, 0, 1);
-                }
-                post[c]->start(threads[c].entry, threads[c].args,
-                               null_sink);
-                continue;
-            }
-            if (entries[c].kind == EpochEntry::Kind::Continue) {
-                post[c]->restoreExact(entries[c].exact);
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)),
-                        out.crashTick, 0, 0, 0);
-                }
-                continue;
-            }
-            ResumeStatus st = prepareResume(
-                *post[c], entries[c].rp, *entries[c].bundle,
-                *module_, trace_, out.crashTick, nullptr,
-                slotImage.empty() ? nullptr : &slotImage);
-            if (st == ResumeStatus::SlotFault) {
-                ++out.faults.staleSlotsDetected;
-                ++out.faults.fullRestarts;
-                recovered =
-                    std::make_unique<interp::SparseMemory>();
-                slotImage.clear();
-                for (auto &e : entries)
-                    e = EpochEntry{};
-                retry = true;
-                break;
-            }
-            cwsp_assert(st == ResumeStatus::Resumed,
-                        "resume entry cannot need a restart");
-            if (entries[c].rp.resumeAfterAtomic)
-                ++out.faults.atomicResumes;
-        }
-    }
+    IoLogSink ioSink(out.ioStream);
+    CoreScheduler post(n, nullptr, max_instrs);
+    while (!enterCores(post, durable, ioSink, nullptr, out.crashTick))
+        ;
 
-    // Stream-driven completion: after a single healthy (fault-free)
-    // failure on one core, the resumed region re-executes over
-    // exactly the memory it saw in the recorded run — every earlier
-    // region is fully persisted, and the undo replay reverted every
-    // speculative store — so the re-execution's commit sequence is
-    // precisely the recorded stream from the resume region's begin.
-    // Apply that suffix directly (stores, device ops, step count)
-    // instead of re-interpreting it. prepareResume above already ran
-    // the recovery slices, so the timed recovery accounting and trace
-    // events are identical to the interpreted path.
-    const bool fastTail =
-        replay && n == 1 && schedule.ticks.size() == 1 &&
-        faults.faults.empty() && !config_.scheme.batteryBacked &&
-        replay->matches(*module_, threads[0].entry,
-                        threads[0].args) &&
-        entries[0].kind == EpochEntry::Kind::Resume &&
-        !entries[0].rp.restart && !entries[0].rp.resumeAfterAtomic;
-    if (fastTail) {
-        // Commit-unit index of the resume region's begin.
-        // instrsAtBegin includes the boundary commit itself, and the
+    // After a single healthy (fault-free) failure on one core, the
+    // resumed region re-executes over exactly the memory it saw in
+    // the recorded run — every earlier region is fully persisted, and
+    // the undo replay reverted every speculative store — so its
+    // commits are precisely the recorded stream from the resume
+    // region's begin. Apply that suffix instead of re-interpreting
+    // it; the recovery slices above already ran, so the recovery
+    // accounting and trace events are those of the interpreted path.
+    const EpochEntry &e0 = entries[0];
+    if (stream && schedule.ticks.size() == 1 && faults.faults.empty() &&
+        e0.kind == EpochEntry::Kind::Resume && !e0.rp.restart &&
+        !e0.rp.resumeAfterAtomic) {
+        // instrsAtBegin counts the boundary commit itself, and the
         // restored control snapshot sits AT the boundary, which
-        // therefore re-executes as the first resumed step: the replay
-        // cut starts one commit earlier.
-        std::uint64_t at_resume = 0;
-        for (const auto &ev : entries[0].bundle->regions) {
-            if (ev.region == entries[0].rp.region) {
-                at_resume = ev.instrsAtBegin;
-                break;
-            }
-        }
-        cwsp_assert(at_resume > 0,
-                    "resume region has no recorded begin");
-        const std::uint64_t cut = at_resume - 1;
-        std::uint64_t commits = 0;
-        std::uint64_t tailSteps = 0;
-        for (const CommitStream::Op &op : replay->ops) {
-            if (op.kind == CommitStream::kBatch1 ||
-                op.kind == CommitStream::kBatch2) {
-                // Each batched step is exactly one counted commit.
-                if (commits + op.aux > cut) {
-                    tailSteps += commits >= cut
-                                     ? op.aux
-                                     : commits + op.aux - cut;
-                }
-                commits += op.aux;
-                continue;
-            }
-            auto kind = static_cast<interp::CommitKind>(op.kind);
-            if (commits >= cut) {
-                if (op.flags & CommitStream::kFlagNewStep)
-                    ++tailSteps;
-                if (kind == interp::CommitKind::Store ||
-                    kind == interp::CommitKind::Atomic) {
-                    recovered->write(op.addr, op.value);
-                } else if (kind == interp::CommitKind::Io) {
-                    out.ioStream.push_back(
-                        arch::IoRecord{op.addr, op.value, 0, 0});
-                }
-            }
-            if (kind != interp::CommitKind::AtomicPrepare)
-                ++commits;
-        }
-        out.reexecutedInstrs += tailSteps;
-        out.result.returnValues[0] = replay->returnValue;
-        memory_ = std::move(recovered);
-        return out;
-    }
-
-    std::uint64_t re_instrs = 0;
-    while (true) {
-        interp::Interpreter *next = nullptr;
-        // Round-robin on instruction counts for fairness.
-        std::uint64_t best = ~std::uint64_t{0};
+        // therefore re-executes as the first resumed step: the suffix
+        // starts one commit earlier.
+        const std::uint64_t at_resume =
+            instrsAtBegin(*e0.bundle, e0.rp.region);
+        cwsp_assert(at_resume > 0, "resume region has no recorded begin");
+        StreamCursor tail(*stream, durable, nullptr, &out.ioStream,
+                          nullptr, max_instrs);
+        tail.seek(at_resume - 1);
+        tail.advance(kTickNever);
+        out.reexecutedInstrs += tail.steps();
+        out.result.returnValues[0] = stream->returnValue;
+    } else {
+        post.advance(kTickNever, ioSink);
+        out.reexecutedInstrs += post.steps;
+        // Timing comes from the first epoch, return values from
+        // wherever each core finally finished.
         for (std::size_t c = 0; c < n; ++c) {
-            if (!post[c] || post[c]->finished())
-                continue;
-            if (post[c]->committed() < best) {
-                best = post[c]->committed();
-                next = post[c].get();
-            }
+            out.result.returnValues[c] =
+                entries[c].kind == EpochEntry::Kind::Done
+                    ? entries[c].returnValue
+                    : post.cores[c]->returnValue();
         }
-        if (!next)
-            break;
-        next->step(null_sink);
-        if (++re_instrs > max_instrs)
-            cwsp_fatal("instruction budget exceeded during recovery");
     }
-    out.reexecutedInstrs += re_instrs;
-
-    // Result assembly: timing from the original (first) epoch, return
-    // values from wherever each core finally finished.
-    for (std::size_t c = 0; c < n; ++c) {
-        out.result.returnValues[c] =
-            entries[c].kind == EpochEntry::Kind::Done
-                ? entries[c].returnValue
-                : post[c]->returnValue();
-    }
-    memory_ = std::move(recovered);
+    memory_ = std::make_unique<interp::SparseMemory>(std::move(durable));
     return out;
 }
 
@@ -1439,32 +1334,57 @@ WholeSystemSim::captureCheckpoints(
     cwsp_assert(std::is_sorted(ticks.begin(), ticks.end()),
                 "crash ticks must be sorted ascending");
     const std::size_t n = threads.size();
-    const std::size_t keep = 4 * config_.scheme.rbtCapacity + 16;
+    const bool battery = config_.scheme.batteryBacked;
     CheckpointRun out;
     out.checkpoints.reserve(ticks.size());
 
+    // Record exactly as a first crash epoch does (same reserve, same
+    // snapshot window), so each prefix is byte-for-byte what that
+    // epoch would have recorded.
     reset();
     RecordingBundle bundle;
-    // Same reserve sizing as a crash epoch, so the recorded prefix is
-    // identical byte-for-byte to what epoch 1 would have recorded.
-    std::uint64_t expected = expectedInstrs_;
-    if (expected == 0 && replay)
-        expected = replay->steps;
     scheme_->enableRecording(
         &bundle.stores, &bundle.regions, &bundle.io,
-        expected != 0 ? std::min(max_instrs, 2 * expected)
-                      : max_instrs);
+        recordingReserve(expectedInstrs_, replay, max_instrs));
+    SnapshotWindow window(bundle, config_);
 
-    // Identity + bundle + component/trace state shared by both
-    // capture modes; per-core execution position is filled by the
-    // mode-specific capture closures.
-    auto baseCheckpoint = [&](Tick tick, std::uint64_t steps) {
+    // One execution, from the same source a first crash epoch would
+    // use, stopped at each tick in turn: a crash epoch stops at its
+    // tick the same way, so each stop is that epoch's crash instant.
+    const CommitStream *stream =
+        usableStream(replay, *module_, config_, threads);
+    std::optional<StreamCursor> cursor;
+    CoreScheduler sched(n, scheme_.get(), max_instrs);
+    RecordingSink sink(*scheme_, window, sched.cores);
+    if (stream) {
+        cursor.emplace(*stream, *memory_, scheme_.get(), nullptr,
+                       &window, max_instrs);
+    } else {
+        for (std::size_t c = 0; c < n; ++c) {
+            sched.add(c, *module_, *memory_)
+                .start(threads[c].entry, threads[c].args, sink);
+        }
+    }
+    auto advance = [&](Tick limit) {
+        if (cursor) {
+            cursor->advance(limit);
+            return cursor->outcome();
+        }
+        sched.advance(limit, sink);
+        return sched.outcome(battery);
+    };
+
+    for (Tick tick : ticks) {
+        EpochOutcome eo = advance(tick);
         auto ck = std::make_shared<SimCheckpoint>();
         ck->module = module_;
         ck->schemeName = config_.scheme.name;
         ck->threads = threads;
         ck->crashTick = tick;
-        ck->steps = steps;
+        ck->steps = eo.steps;
+        ck->finishedAt = std::move(eo.finishedAt);
+        ck->coreReturns = std::move(eo.returns);
+        ck->coreFinished = std::move(eo.finished);
         ck->bundle = std::make_shared<RecordingBundle>(bundle);
         sim::StateWriter w(ck->componentBytes);
         scheme_->captureState(w);
@@ -1483,199 +1403,15 @@ WholeSystemSim::captureCheckpoints(
             sim::StateWriter sw(ck->samplerBytes);
             sampler_->captureState(sw);
         }
-        ck->finishedAt.assign(n, kTickNever);
-        ck->coreReturns.assign(n, 0);
-        ck->coreFinished.assign(n, 0);
-        return ck;
-    };
-
-    const bool replayRun =
-        replay && n == 1 && !config_.scheme.batteryBacked &&
-        replay->matches(*module_, threads[0].entry, threads[0].args);
-
-    if (replayRun) {
-        // Stream-driven capture: replaySegment's cut rule, applied
-        // incrementally at every tick. Batches split exactly because
-        // retireBatch is purely additive: retiring (t-c)/per+1 steps,
-        // capturing, and retiring the rest lands every later tick on
-        // the same cycles as one uncut retirement.
-        arch::Scheme &sch = *scheme_;
-        constexpr CoreId core = 0;
-        std::size_t tickIdx = 0;
-        std::uint64_t total = 0;
-        std::size_t boundary_idx = 0;
-        std::vector<RegionId> ring;
-
-        auto capture = [&](Tick tick, bool finished) {
-            auto ck = baseCheckpoint(tick, total);
-            if (finished) {
-                ck->coreFinished[0] = 1;
-                ck->finishedAt[0] = sch.cycles(core);
-                ck->coreReturns[0] = replay->returnValue;
-            }
-            out.checkpoints.push_back(std::move(ck));
-        };
-
-        for (const CommitStream::Op &op : replay->ops) {
-            if (op.kind == CommitStream::kBatch1 ||
-                op.kind == CommitStream::kBatch2) {
-                const Tick per =
-                    op.kind == CommitStream::kBatch1 ? 1 : 2;
-                std::uint64_t done = 0;
-                while (done < op.aux) {
-                    std::uint64_t run = op.aux - done;
-                    while (tickIdx < ticks.size()) {
-                        Tick c = sch.cycles(core);
-                        if (c > ticks[tickIdx]) {
-                            // The cut rule stops exactly here for
-                            // this tick.
-                            capture(ticks[tickIdx], false);
-                            ++tickIdx;
-                            continue;
-                        }
-                        // Retire only the steps the cut rule admits
-                        // for the nearest tick, then capture.
-                        std::uint64_t fit =
-                            (ticks[tickIdx] - c) / per + 1;
-                        if (fit < run)
-                            run = fit;
-                        break;
-                    }
-                    total += run;
-                    if (total > max_instrs)
-                        cwsp_fatal("instruction budget exceeded (",
-                                   max_instrs, ")");
-                    sch.retireBatch(core, run,
-                                    static_cast<Tick>(run) * per);
-                    done += run;
-                }
-                continue;
-            }
-
-            if (op.flags & CommitStream::kFlagNewStep) {
-                while (tickIdx < ticks.size() &&
-                       sch.cycles(core) > ticks[tickIdx]) {
-                    capture(ticks[tickIdx], false);
-                    ++tickIdx;
-                }
-                if (++total > max_instrs)
-                    cwsp_fatal("instruction budget exceeded (",
-                               max_instrs, ")");
-            }
-
-            interp::CommitInfo info;
-            info.kind = static_cast<interp::CommitKind>(op.kind);
-            info.core = core;
-            info.addr = op.addr;
-            info.storeValue = op.value;
-            info.isCheckpoint =
-                (op.flags & CommitStream::kFlagCkpt) != 0;
-            info.func = op.func;
-            if (info.kind == interp::CommitKind::Boundary)
-                info.staticRegion = op.aux;
-            if (info.kind == interp::CommitKind::Store ||
-                info.kind == interp::CommitKind::Atomic) {
-                memory_->write(op.addr, op.value);
-            }
-            sch.onCommit(info);
-            if (info.kind == interp::CommitKind::Boundary) {
-                RegionId id = sch.currentRegion(core);
-                const CommitStream::SnapRef &ref =
-                    replay->snapRefs[boundary_idx];
-                auto &snap = bundle.snapshots[id];
-                snap.frames.assign(
-                    replay->frames.begin() + ref.begin,
-                    replay->frames.begin() + ref.begin + ref.count);
-                ring.push_back(id);
-                if (ring.size() > keep) {
-                    bundle.snapshots.erase(ring.front());
-                    ring.erase(ring.begin());
-                }
-                ++boundary_idx;
-            }
-        }
-        // Ticks at or past completion: a crash there finds the
-        // finished state.
-        while (tickIdx < ticks.size()) {
-            capture(ticks[tickIdx], true);
-            ++tickIdx;
-        }
-        out.result =
-            collectStats(std::vector<Word>{replay->returnValue});
-        return out;
-    }
-
-    // Interpreted capture (any scheme, any core count).
-    std::vector<std::unique_ptr<interp::Interpreter>> cores;
-    cores.reserve(n);
-    RecordingSink sink(*scheme_, bundle, cores, keep);
-    for (std::size_t c = 0; c < n; ++c) {
-        cores.push_back(std::make_unique<interp::Interpreter>(
-            *module_, *memory_, static_cast<CoreId>(c)));
-        cores[c]->start(threads[c].entry, threads[c].args, sink);
-    }
-    std::vector<Tick> finished_at(n, kTickNever);
-    std::uint64_t total = 0;
-    std::size_t tickIdx = 0;
-
-    auto capture = [&](Tick tick) {
-        auto ck = baseCheckpoint(tick, total);
-        ck->finishedAt = finished_at;
-        for (std::size_t c = 0; c < n; ++c) {
-            bool fin = cores[c]->finished();
-            ck->coreFinished[c] = fin ? 1 : 0;
-            if (fin && ck->finishedAt[c] == kTickNever) {
-                ck->finishedAt[c] =
-                    scheme_->cycles(static_cast<CoreId>(c));
-            }
-            ck->coreReturns[c] = cores[c]->returnValue();
-        }
-        if (config_.scheme.batteryBacked) {
+        if (battery) {
             // The battery crash handler reads the live memory and
             // snapshots the execution context of running cores.
-            ck->memory =
-                std::make_unique<interp::SparseMemory>(*memory_);
-            ck->exactSnaps.resize(n);
-            for (std::size_t c = 0; c < n; ++c)
-                if (!cores[c]->finished())
-                    ck->exactSnaps[c] = cores[c]->exactSnapshot();
+            ck->memory = std::make_unique<interp::SparseMemory>(*memory_);
+            ck->exactSnaps = std::move(eo.exact);
         }
         out.checkpoints.push_back(std::move(ck));
-    };
-
-    while (true) {
-        interp::Interpreter *next = nullptr;
-        Tick best = kTickNever;
-        for (std::size_t c = 0; c < n; ++c) {
-            auto cid = static_cast<CoreId>(c);
-            if (cores[c]->finished()) {
-                if (finished_at[c] == kTickNever)
-                    finished_at[c] = scheme_->cycles(cid);
-                continue;
-            }
-            Tick t = scheme_->cycles(cid);
-            if (t < best) {
-                best = t;
-                next = cores[c].get();
-            }
-        }
-        // The crash-epoch schedule (skip cores past the crash tick)
-        // is a prefix of this free-run schedule: the moment the
-        // minimum clock passes a tick — or every core finishes — the
-        // state equals the crash epoch's stopped state at that tick.
-        while (tickIdx < ticks.size() &&
-               (!next || best > ticks[tickIdx])) {
-            capture(ticks[tickIdx]);
-            ++tickIdx;
-        }
-        if (!next)
-            break;
-        next->step(sink);
-        if (++total > max_instrs)
-            cwsp_fatal("instruction budget exceeded (", max_instrs,
-                       ")");
     }
-    out.result = collectStats(cores);
+    out.result = collectStats(advance(kTickNever).returns);
     return out;
 }
 

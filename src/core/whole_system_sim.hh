@@ -274,38 +274,31 @@ class WholeSystemSim
                                 std::uint64_t max_instrs = 200'000'000);
 
     /**
-     * Generalized crash run: inject every power failure of
-     * @p schedule (ticks[0] absolute, later entries relative to the
-     * previous failure — they may land inside the timed recovery
-     * window, re-entering recovery mid-undo-replay or mid-slice),
-     * seed @p faults into the reconstructed undo logs, run the
-     * hardened recovery protocol after each failure, and complete the
-     * program functionally after the last one. runWithCrash() is the
-     * single-entry special case.
-     */
-    /**
-     * @param replay optional compiled commit stream of (entry, args).
-     * Epochs that start from a pristine image on one core (the first
-     * epoch of every crash run, and full-restart retries) are then
-     * driven from the stream instead of the interpreter — the scheme
-     * sees the identical commit sequence, so the crash state, the
-     * recording bundle, and every statistic are bit-identical while
-     * the sweep skips re-interpretation. Recovery and post-crash
-     * epochs always interpret. Ignored (full interpretation) for
-     * multi-core runs, battery-backed schemes, or a stream recorded
-     * for a different (module, entry, args).
-     */
-    /**
-     * @param fork optional checkpoint captured at ticks[0] of the
-     * same (module, scheme, threads) by captureCheckpoints(). The
-     * first crash epoch then restores the capture-instant state
-     * instead of re-executing the pre-crash prefix — every result,
-     * statistic, and trace byte stays identical while the sweep cost
-     * drops from O(prefix + tail) to O(tail). Ignored (from-scratch
-     * execution) on any identity/tick mismatch, when an external
-     * trace sink is attached, or when an attached trace buffer's or
-     * sampler's geometry differs from the captured one;
-     * CrashRunResult::fork names the reason.
+     * Generalized crash run, as a loop of epochs: execute up to the
+     * next failure of @p schedule (ticks[0] absolute, later entries
+     * relative to the previous failure), compute the crash state
+     * (seeding @p faults into the reconstructed undo logs), run the
+     * timed recovery window (a failure inside it re-enters recovery
+     * mid-undo-replay or mid-slice), and enter every core for the next
+     * epoch: fresh start, hardened resume, or exact continuation.
+     * After the last failure the program completes functionally.
+     * runWithCrash() is the single-entry special case.
+     *
+     * An epoch executes from one of three sources, all bit-identical
+     * in results, statistics and trace bytes:
+     *  - @p fork, a checkpoint captureCheckpoints() took at ticks[0] of
+     *    the same (module, scheme, threads): the first epoch restores
+     *    it instead of re-executing the prefix. Ignored on any
+     *    identity/tick mismatch, an attached trace sink, or a trace or
+     *    sampler geometry other than the captured one;
+     *    CrashRunResult::fork names the reason.
+     *  - @p replay, a commit stream of (entry, args): an epoch that
+     *    starts one core on a pristine image (the first epoch, and
+     *    full-restart retries) replays it up to the failure, and after
+     *    a single healthy failure the completion applies its suffix
+     *    from the resume region's begin. Ignored for multi-core runs,
+     *    battery-backed schemes, or another (module, entry, args).
+     *  - the interpreter, for everything else.
      */
     CrashRunResult runWithCrashes(
         const std::vector<ThreadSpec> &threads,
@@ -317,27 +310,21 @@ class WholeSystemSim
 
     /**
      * Run @p threads to completion with crash recording enabled,
-     * capturing a full-fidelity SimCheckpoint at each tick of the
-     * sorted @p ticks — each at exactly the instant runWithCrashes()
-     * would stop its first epoch for a failure at that tick (the
-     * crash-epoch schedule is a prefix of the free-run schedule, so
-     * one pass serves every crash point). Ticks at or past program
+     * stopping at each tick of the sorted @p ticks to capture a
+     * full-fidelity SimCheckpoint. The run uses the source a first
+     * crash epoch would (@p replay under runWithCrashes' rules, else
+     * the interpreter), and a crash epoch stops at its tick the same
+     * way, so each checkpoint is exactly that epoch's crash instant
+     * and one pass serves every crash point. Ticks at or past program
      * completion capture the final state. The returned RunResult is
      * identical to run()'s, so the capture pass doubles as the golden
      * run of a crash sweep.
-     *
-     * @param replay optional commit stream of (threads[0].entry,
-     * args): single-core, non-battery capture runs are then driven
-     * from the stream (same rules as runWithCrashes' replay).
      */
     CheckpointRun captureCheckpoints(
         const std::vector<ThreadSpec> &threads,
         const std::vector<Tick> &ticks,
         std::uint64_t max_instrs = 200'000'000,
         const CommitStream *replay = nullptr);
-
-    /** Cycle count of a plain (no-crash) run, for picking crash points. */
-    Tick lastRunCycles() const { return lastCycles_; }
 
     /**
      * Hint the expected committed-instruction count of upcoming runs
@@ -426,7 +413,6 @@ class WholeSystemSim
     /** Internal buffer driving a sink when none is attached. */
     std::unique_ptr<sim::TraceBuffer> ownTrace_;
     sim::CounterSampler *sampler_ = nullptr;
-    Tick lastCycles_ = 0;
     std::uint64_t expectedInstrs_ = 0;
     bool captureFirstCrash_ = false;
 
@@ -437,28 +423,6 @@ class WholeSystemSim
     void wireSampler();
 
     RunResult collectStats(const std::vector<Word> &return_values);
-    RunResult collectStats(
-        const std::vector<std::unique_ptr<interp::Interpreter>> &cores);
-
-    /** Outcome of one replayed execution segment. */
-    struct ReplayOutcome
-    {
-        bool finished = false;   ///< all stream ops applied
-        Tick finishedAt = kTickNever;
-        std::uint64_t steps = 0; ///< top-level steps retired
-    };
-
-    /**
-     * Drive scheme_/hierarchy_/memory_ from @p stream on core 0,
-     * stopping before the first step whose start cycle exceeds
-     * @p crash_dt (kTickNever: run to stream end). When @p bundle is
-     * set, rebuilds its boundary-snapshot window (last @p keep
-     * regions) from the stream's flattened snapshots.
-     */
-    ReplayOutcome replaySegment(const CommitStream &stream,
-                                Tick crash_dt, RecordingBundle *bundle,
-                                std::size_t keep,
-                                std::uint64_t max_instrs);
 };
 
 } // namespace cwsp::core

@@ -400,9 +400,7 @@ CkptCacheReport::reasonsBrief() const
 const std::vector<std::string> &
 allSchemeNames()
 {
-    static const std::vector<std::string> names = {
-        "baseline", "cwsp", "capri", "ido", "replaycache", "psp"};
-    return names;
+    return core::schemeNames();
 }
 
 std::string

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/config.hh"
 #include "obs/baseline_diff.hh"
 
 namespace cwsp::obs {
@@ -20,13 +21,9 @@ constexpr const char *kPhaseKeys[kReportPhases] = {
 int
 schemeRank(const std::string &s)
 {
-    static const char *order[] = {"baseline",    "cwsp", "capri",
-                                  "ido",         "replaycache",
-                                  "psp"};
-    for (int i = 0; i < 6; ++i)
-        if (s == order[i])
-            return i;
-    return 6;
+    const auto &order = core::schemeNames();
+    return static_cast<int>(std::find(order.begin(), order.end(), s) -
+                            order.begin());
 }
 
 std::string

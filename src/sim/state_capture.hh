@@ -38,7 +38,11 @@ class StateWriter
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "state capture is memcpy-based");
-        const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
+        // Padding bytes are indeterminate; zero them so equal states
+        // always give equal bytes.
+        T copy = v;
+        __builtin_clear_padding(&copy);
+        const auto *p = reinterpret_cast<const std::uint8_t *>(&copy);
         buf_.insert(buf_.end(), p, p + sizeof(T));
     }
 
@@ -49,8 +53,13 @@ class StateWriter
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "state capture is memcpy-based");
-        const auto *b = reinterpret_cast<const std::uint8_t *>(p);
-        buf_.insert(buf_.end(), b, b + n * sizeof(T));
+        if constexpr (std::has_unique_object_representations_v<T>) {
+            const auto *b = reinterpret_cast<const std::uint8_t *>(p);
+            buf_.insert(buf_.end(), b, b + n * sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                pod(p[i]);
+        }
     }
 
     /** Length-prefixed array (u64 count, then the elements). */

@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/commit_stream.hh"
@@ -251,6 +253,147 @@ TEST(CkptEquiv, MidDrainForkBand)
             expectSameCrashResult(ref, got);
             EXPECT_EQ(refJson, statsJson(forked));
         }
+    }
+}
+
+/** Index of the first differing byte (the common length if none). */
+std::size_t
+firstMismatch(const std::vector<std::uint8_t> &a,
+              const std::vector<std::uint8_t> &b)
+{
+    std::size_t n = std::min(a.size(), b.size());
+    return std::mismatch(a.begin(), a.begin() + n, b.begin()).first -
+           a.begin();
+}
+
+/** Field-wise equality of two recording bundles. */
+void
+expectSameBundle(const core::RecordingBundle &a,
+                 const core::RecordingBundle &b)
+{
+    auto store = [](const arch::StoreRecord &r) {
+        return std::tuple(r.addr, r.value, r.persistTime, r.ackTime,
+                          r.region, r.core, r.mc, r.logged, r.isCkpt,
+                          r.isAtomic);
+    };
+    auto region = [](const arch::RegionEvent &r) {
+        return std::tuple(r.region, r.core, r.begin, r.specEnd, r.func,
+                          r.staticRegion, r.instrsAtBegin);
+    };
+    auto io = [](const arch::IoRecord &r) {
+        return std::tuple(r.device, r.payload, r.region, r.core);
+    };
+    auto frame = [](const interp::Frame &f) {
+        return std::tuple(f.regs, f.func, f.block, f.index, f.returnDst);
+    };
+    ASSERT_EQ(a.stores.size(), b.stores.size());
+    for (std::size_t i = 0; i < a.stores.size(); ++i)
+        EXPECT_EQ(store(a.stores[i]), store(b.stores[i])) << "store " << i;
+    ASSERT_EQ(a.regions.size(), b.regions.size());
+    for (std::size_t i = 0; i < a.regions.size(); ++i)
+        EXPECT_EQ(region(a.regions[i]), region(b.regions[i]))
+            << "region " << i;
+    ASSERT_EQ(a.io.size(), b.io.size());
+    for (std::size_t i = 0; i < a.io.size(); ++i)
+        EXPECT_EQ(io(a.io[i]), io(b.io[i])) << "io " << i;
+    ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
+    for (auto ia = a.snapshots.begin(), ib = b.snapshots.begin();
+         ia != a.snapshots.end(); ++ia, ++ib) {
+        ASSERT_EQ(ia->first, ib->first);
+        const auto &fa = ia->second.frames;
+        const auto &fb = ib->second.frames;
+        ASSERT_EQ(fa.size(), fb.size()) << "snapshot " << ia->first;
+        for (std::size_t i = 0; i < fa.size(); ++i)
+            EXPECT_EQ(frame(fa[i]), frame(fb[i])) << "snapshot " << ia->first;
+    }
+}
+
+/**
+ * The two capture sources agree checkpoint by checkpoint: capturing
+ * the same ticks from the commit stream and from the interpreter
+ * gives the same component bytes, bundle, execution position and
+ * per-core outcome. The ticks are the mid-drain band, a tick that
+ * splits a constant-cost batch, and a tick past completion.
+ */
+TEST(CkptEquiv, StreamCaptureMatchesInterpretedCapture)
+{
+    std::vector<core::ThreadSpec> threads(1);
+    for (const auto &scheme :
+         {std::string("cwsp"), std::string("psp")}) {
+        SCOPED_TRACE(scheme);
+        auto cfg = core::makeSystemConfig(scheme);
+        auto mod = workloads::buildApp(workloads::appByName("fft"),
+                                       cfg.compiler);
+        auto stream = core::recordCommitStream(*mod, "main", {});
+
+        core::WholeSystemSim probe(*mod, cfg);
+        const Tick end = probe.runReplay(stream).cycles;
+        const Tick mid = end / 3;
+        std::vector<Tick> ticks;
+        for (Tick t = mid - 4; t < mid + 4; ++t)
+            ticks.push_back(t);
+
+        // The first batch of three or more steps past the band starts
+        // at step `first`; the earliest tick whose capture holds two
+        // steps of it cuts the batch after its second step.
+        std::uint64_t step = 0;
+        std::uint64_t first = 0;
+        for (const auto &op : stream.ops) {
+            bool batch = op.kind == core::CommitStream::kBatch1 ||
+                         op.kind == core::CommitStream::kBatch2;
+            if (batch && op.aux >= 3 && step > stream.steps / 2) {
+                first = step;
+                break;
+            }
+            step += batch ? op.aux
+                          : (op.flags & core::CommitStream::kFlagNewStep
+                                 ? 1
+                                 : 0);
+        }
+        ASSERT_GT(first, 0u);
+        auto stepsAt = [&](Tick t) {
+            core::WholeSystemSim sim(*mod, cfg);
+            return sim.captureCheckpoints(threads, {t}, 200'000'000,
+                                          &stream)
+                .checkpoints[0]
+                ->steps;
+        };
+        Tick lo = mid, hi = end;
+        while (lo < hi) {
+            Tick t = lo + (hi - lo) / 2;
+            if (stepsAt(t) >= first + 2)
+                hi = t;
+            else
+                lo = t + 1;
+        }
+        ASSERT_EQ(stepsAt(lo), first + 2);
+        ticks.push_back(lo);
+        ticks.push_back(end + 100);
+
+        core::WholeSystemSim fromStream(*mod, cfg);
+        auto s = fromStream.captureCheckpoints(threads, ticks, 200'000'000,
+                                               &stream);
+        core::WholeSystemSim interpreted(*mod, cfg);
+        auto i = interpreted.captureCheckpoints(threads, ticks);
+        expectSameResult(s.result, i.result);
+        ASSERT_EQ(s.checkpoints.size(), ticks.size());
+        ASSERT_EQ(i.checkpoints.size(), ticks.size());
+        for (std::size_t k = 0; k < ticks.size(); ++k) {
+            SCOPED_TRACE("tick " + std::to_string(ticks[k]));
+            const core::SimCheckpoint &a = *s.checkpoints[k];
+            const core::SimCheckpoint &b = *i.checkpoints[k];
+            EXPECT_EQ(firstMismatch(a.componentBytes, b.componentBytes),
+                      a.componentBytes.size())
+                << "component bytes " << a.componentBytes.size() << " vs "
+                << b.componentBytes.size();
+            expectSameBundle(*a.bundle, *b.bundle);
+            EXPECT_EQ(a.steps, b.steps);
+            EXPECT_EQ(a.finishedAt, b.finishedAt);
+            EXPECT_EQ(a.coreReturns, b.coreReturns);
+            EXPECT_EQ(a.coreFinished, b.coreFinished);
+        }
+        EXPECT_EQ(s.checkpoints.back()->coreFinished[0], 1u);
+        EXPECT_EQ(s.checkpoints[ticks.size() - 2]->steps, first + 2);
     }
 }
 

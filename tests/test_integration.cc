@@ -10,6 +10,7 @@
 
 #include <sstream>
 
+#include "core/commit_stream.hh"
 #include "core/whole_system_sim.hh"
 #include "mem/nvm_device.hh"
 #include "workloads/workload.hh"
@@ -119,6 +120,50 @@ TEST(Integration, RunRespectsInstructionBudget)
                                    cfg.compiler);
     core::WholeSystemSim sim(*mod, cfg);
     EXPECT_THROW(sim.run("main", {}, 1000), std::runtime_error);
+}
+
+/**
+ * Every execution path enforces the instruction budget, not only
+ * run(): stream replay, both capture sources, and each source of a
+ * crash run — the interpreted epoch, the replayed epoch, and the
+ * post-crash completion, interpreted or applied from the stream.
+ */
+TEST(Integration, EveryPathRespectsInstructionBudget)
+{
+    auto cfg = core::makeSystemConfig("cwsp");
+    auto mod = workloads::buildApp(workloads::appByName("fft"),
+                                   cfg.compiler);
+    auto stream = core::recordCommitStream(*mod, "main", {});
+    const std::vector<core::ThreadSpec> threads(1);
+    core::WholeSystemSim sim(*mod, cfg);
+    const Tick end = sim.run("main").cycles;
+    constexpr std::uint64_t kTight = 1000;
+
+    EXPECT_THROW(sim.runReplay(stream, kTight), std::runtime_error);
+    EXPECT_THROW(sim.captureCheckpoints(threads, {end / 2}, kTight),
+                 std::runtime_error);
+    EXPECT_THROW(
+        sim.captureCheckpoints(threads, {end / 2}, kTight, &stream),
+        std::runtime_error);
+    const fault::CrashSchedule late{end / 2};
+    EXPECT_THROW(sim.runWithCrashes(threads, late, {}, kTight),
+                 std::runtime_error);
+    EXPECT_THROW(sim.runWithCrashes(threads, late, {}, kTight, &stream),
+                 std::runtime_error);
+
+    // An early failure that resumes mid-program: the pre-crash epoch
+    // fits half the program's steps, the completion does not.
+    const fault::CrashSchedule early{end / 8};
+    const std::uint64_t half = stream.steps / 2;
+    auto fits = sim.runWithCrashes(threads, early, {}, stream.steps,
+                                   &stream);
+    ASSERT_TRUE(fits.crashed);
+    ASSERT_NE(fits.resumeRegions[0], 0u);
+    ASSERT_GT(fits.reexecutedInstrs, half);
+    EXPECT_THROW(sim.runWithCrashes(threads, early, {}, half),
+                 std::runtime_error);
+    EXPECT_THROW(sim.runWithCrashes(threads, early, {}, half, &stream),
+                 std::runtime_error);
 }
 
 TEST(Integration, ThreadCountValidation)

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Sanitizer CI pass: build the tree twice under Debug — once with
+# Sanitizer CI pass: build the tree under Debug — once with
 # AddressSanitizer, once with UndefinedBehaviorSanitizer — and run
 # the full ctest suite under each. Catches the class of bug the
 # RelWithDebInfo tier-1 run can't: heap misuse in the ring buffers
-# and caches, UB in the timing arithmetic.
+# and caches, UB in the timing arithmetic. A third, ThreadSanitizer
+# lane builds only the multi-threaded surfaces (batch runner, fault
+# campaign, durable-lin checker) and runs them with several workers,
+# watching the shared caches and worker pools for data races.
 #
 # A Release simulator-throughput smoke rides along at the end: it
 # runs the bench_simspeed aggregate case and warns (never fails) when
@@ -11,7 +14,7 @@
 # BENCH_trajectory.json entry.
 #
 # Usage:
-#   tools/ci_check.sh [sanitizer...]     # default: address undefined
+#   tools/ci_check.sh [sanitizer...]     # default: address undefined thread
 # Environment:
 #   BUILD_ROOT  directory for the sanitizer build trees
 #               (default: build-san)
@@ -26,15 +29,36 @@ BUILD_ROOT=${BUILD_ROOT:-build-san}
 JOBS=${JOBS:-$(nproc)}
 SANITIZERS=("$@")
 if [ ${#SANITIZERS[@]} -eq 0 ]; then
-    SANITIZERS=(address undefined)
+    SANITIZERS=(address undefined thread)
 fi
 
-# Halt on the first UB report instead of printing and continuing, so
-# a UBSan failure fails the suite.
+# Halt on the first UB or race report instead of printing and
+# continuing, so a UBSan or TSan report fails the suite.
 export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1}
+export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}
 
 for san in "${SANITIZERS[@]}"; do
     dir=$BUILD_ROOT/$san
+    if [ "$san" = thread ]; then
+        echo "== thread: configure ($dir) =="
+        cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Debug \
+              -DCWSP_SANITIZE=thread
+        echo "== thread: build (multi-threaded surfaces) =="
+        cmake --build "$dir" -j "$JOBS" --target test_batch_runner \
+              test_fault_campaign test_durable_lin cwsp_faultcampaign
+        echo "== thread: batch, campaign and durable-lin tests =="
+        # These tests run BatchRunner pools, the shared stream and
+        # checkpoint caches, and campaign workers with jobs > 1.
+        for t in test_batch_runner test_fault_campaign test_durable_lin; do
+            "$dir"/tests/$t
+        done
+        echo "== thread: forked + concurrent campaign smokes (jobs 4) =="
+        "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
+              --points 1 --fork --jobs 4 --quiet
+        "$dir"/tools/cwsp_faultcampaign --apps cqueue,chash \
+              --points 1 --schedules 2 --jobs 4 --quiet
+        continue
+    fi
     echo "== $san: configure ($dir) =="
     cmake -B "$dir" -S . \
           -DCMAKE_BUILD_TYPE=Debug \

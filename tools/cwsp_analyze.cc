@@ -23,6 +23,7 @@
  * and checks the crash/recovery invariants on that stream too.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -48,10 +49,6 @@
 using namespace cwsp;
 
 namespace {
-
-const char *const kSchemes[] = {
-    "baseline", "cwsp", "capri", "ido", "replaycache", "psp",
-};
 
 void
 usage()
@@ -109,11 +106,11 @@ usage()
 std::vector<std::string>
 resolveSchemes(const std::string &spec)
 {
+    const auto &all = core::schemeNames();
     if (spec == "all")
-        return {std::begin(kSchemes), std::end(kSchemes)};
-    for (const char *s : kSchemes)
-        if (spec == s)
-            return {spec};
+        return all;
+    if (std::find(all.begin(), all.end(), spec) != all.end())
+        return {spec};
     cwsp_fatal("unknown scheme '", spec,
                "'; valid: baseline, cwsp, capri, ido, replaycache, "
                "psp, all");

@@ -51,13 +51,9 @@ kindName(interp::CommitKind k)
 void
 validateScheme(const std::string &scheme)
 {
-    static const char *const kSchemes[] = {
-        "baseline", "cwsp", "capri", "ido", "replaycache", "psp",
-    };
-    for (const char *s : kSchemes) {
-        if (scheme == s)
-            return;
-    }
+    const auto &all = core::schemeNames();
+    if (std::find(all.begin(), all.end(), scheme) != all.end())
+        return;
     cwsp_fatal("unknown scheme '", scheme,
                "'; valid: baseline, cwsp, capri, ido, replaycache, "
                "psp");

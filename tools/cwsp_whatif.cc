@@ -13,6 +13,7 @@
  * under their own canonical keys; repeat invocations are cache hits.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hh"
 #include "obs/sensitivity.hh"
 #include "obs/whatif_profiler.hh"
 #include "sim/logging.hh"
@@ -29,10 +31,6 @@
 using namespace cwsp;
 
 namespace {
-
-const char *const kSchemes[] = {
-    "baseline", "cwsp", "capri", "ido", "replaycache", "psp",
-};
 
 void
 usage()
@@ -61,11 +59,11 @@ usage()
 std::vector<std::string>
 resolveSchemes(const std::string &spec)
 {
+    const auto &all = core::schemeNames();
     if (spec == "all")
-        return {std::begin(kSchemes), std::end(kSchemes)};
-    for (const char *s : kSchemes)
-        if (spec == s)
-            return {spec};
+        return all;
+    if (std::find(all.begin(), all.end(), spec) != all.end())
+        return {spec};
     cwsp_fatal("unknown scheme '", spec,
                "'; valid: baseline, cwsp, capri, ido, replaycache, "
                "psp, all");
