@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <sstream>
 
 #include "core/crash_injection.hh"
 #include "core/recovery_engine.hh"
 #include "core/sim_checkpoint.hh"
+#include "sim/json.hh"
 #include "sim/state_capture.hh"
 #include "sim/stats.hh"
 #include "sim/logging.hh"
@@ -835,24 +835,18 @@ WholeSystemSim::exportStatsJson(std::ostream &os) const
 {
     StatsRegistry reg;
     fillStats(reg);
-    if (!sampler_) {
-        reg.exportJson(os);
-        os << "\n";
-        return;
+    json::Writer w(os);
+    w.beginObject();
+    reg.exportJsonMembers(w);
+    if (sampler_) {
+        // The sampled series is one more member, in the sampler's
+        // spaced layout.
+        w.restyle(json::kSpaced);
+        w.key("time_series");
+        sampler_->exportJson(w);
     }
-    // Splice the sampled series in as a `time_series` section: the
-    // registry's export is a single JSON object, so drop its closing
-    // brace and append the extra member.
-    std::ostringstream body;
-    reg.exportJson(body);
-    std::string text = body.str();
-    std::size_t close = text.find_last_of('}');
-    cwsp_assert(close != std::string::npos,
-                "stats export is not a JSON object");
-    os << text.substr(0, close);
-    os << (close > 1 ? ", " : "") << "\"time_series\": ";
-    sampler_->exportJson(os);
-    os << "}\n";
+    w.end();
+    os << "\n";
 }
 
 RunResult

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -19,6 +19,7 @@
 #include "driver/batch_runner.hh"
 #include "interp/interpreter.hh"
 #include "obs/durable_lin.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "workloads/concurrent.hh"
@@ -59,153 +60,117 @@ faultBrief(const MediaFault &f)
 }
 
 void
-jsonEscape(std::ostream &os, const std::string &s)
+writeFaultStatsJson(json::Writer &w, const FaultStats &s)
 {
-    os << '"';
-    for (char ch : s) {
-        switch (ch) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                os << ' ';
-            else
-                os << ch;
-        }
-    }
-    os << '"';
+    w.beginObject(json::kSpaced);
+    w.field("crashes_injected", s.crashesInjected);
+    w.field("nested_crashes", s.nestedCrashes);
+    w.field("recovery_crashes", s.recoveryCrashes);
+    w.field("undo_replay_passes", s.undoReplayPasses);
+    w.field("partial_replay_records", s.partialReplayRecords);
+    w.field("faults_requested", s.faultsRequested);
+    w.field("faults_applied", s.faultsApplied);
+    w.field("corrupt_records_detected", s.corruptRecordsDetected);
+    w.field("torn_tails_dropped", s.tornTailsDropped);
+    w.field("region_restarts", s.regionRestarts);
+    w.field("full_restarts", s.fullRestarts);
+    w.field("stale_slots_detected", s.staleSlotsDetected);
+    w.field("atomic_resumes", s.atomicResumes).end();
+}
+
+/** {"detect": .., "scan": .., ...} in core::RecoveryPhase order. */
+void
+writePhasesJson(json::Writer &w,
+                const std::uint64_t (&cycles)[kRecoveryPhases])
+{
+    w.beginObject(json::kSpaced);
+    for (std::size_t p = 0; p < kRecoveryPhases; ++p)
+        w.field(kPhaseJsonKeys[p], cycles[p]);
+    w.end();
+}
+
+/** [a, b, ...] of unsigned counts, spaced. */
+template <typename Range>
+void
+writeCountsJson(json::Writer &w, const Range &counts)
+{
+    w.beginArray(json::kSpaced);
+    for (std::uint64_t v : counts)
+        w.value(v);
+    w.end();
 }
 
 void
-writeFaultStatsJson(std::ostream &os, const FaultStats &s)
+writeCaseJson(json::Writer &w, const CaseResult &r)
 {
-    os << "{\"crashes_injected\": " << s.crashesInjected
-       << ", \"nested_crashes\": " << s.nestedCrashes
-       << ", \"recovery_crashes\": " << s.recoveryCrashes
-       << ", \"undo_replay_passes\": " << s.undoReplayPasses
-       << ", \"partial_replay_records\": " << s.partialReplayRecords
-       << ", \"faults_requested\": " << s.faultsRequested
-       << ", \"faults_applied\": " << s.faultsApplied
-       << ", \"corrupt_records_detected\": "
-       << s.corruptRecordsDetected
-       << ", \"torn_tails_dropped\": " << s.tornTailsDropped
-       << ", \"region_restarts\": " << s.regionRestarts
-       << ", \"full_restarts\": " << s.fullRestarts
-       << ", \"stale_slots_detected\": " << s.staleSlotsDetected
-       << ", \"atomic_resumes\": " << s.atomicResumes << "}";
-}
-
-void
-writeCaseJson(std::ostream &os, const CaseResult &r)
-{
-    os << "{\"app\": ";
-    jsonEscape(os, r.c.app);
-    os << ", \"scheme\": ";
-    jsonEscape(os, r.c.scheme);
-    os << ", \"schedule\": ";
-    jsonEscape(os, r.c.schedule.describe());
-    os << ", \"point_kind\": ";
-    jsonEscape(os, crashPointKindName(r.c.pointKind));
-    os << ", \"ilv\": " << r.c.ilvIndex;
+    w.beginObject(json::kSpaced);
+    w.field("app", r.c.app).field("scheme", r.c.scheme);
+    w.field("schedule", r.c.schedule.describe());
+    w.field("point_kind", crashPointKindName(r.c.pointKind));
+    w.field("ilv", r.c.ilvIndex);
     if (!r.dlVerdict.empty()) {
-        os << ", \"dl_verdict\": ";
-        jsonEscape(os, r.dlVerdict);
-        os << ", \"dl_invoked\": " << r.dlInvokedOps
-           << ", \"dl_completed\": " << r.dlCompletedOps;
+        w.field("dl_verdict", r.dlVerdict);
+        w.field("dl_invoked", r.dlInvokedOps);
+        w.field("dl_completed", r.dlCompletedOps);
     }
-    os << ", \"faults\": [";
-    for (std::size_t i = 0; i < r.c.plan.faults.size(); ++i) {
-        if (i)
-            os << ", ";
-        jsonEscape(os, faultBrief(r.c.plan.faults[i]));
-    }
-    os << "], \"pass\": " << (r.pass ? "true" : "false")
-       << ", \"ran\": " << (r.ran ? "true" : "false")
-       << ", \"crashed\": " << (r.crashed ? "true" : "false")
-       << ", \"consistent\": " << (r.consistent ? "true" : "false")
-       << ", \"result_match\": "
-       << (r.resultMatch ? "true" : "false")
-       << ", \"io_checked\": " << (r.ioChecked ? "true" : "false")
-       << ", \"io_match\": " << (r.ioMatch ? "true" : "false")
-       << ", \"faults_detected\": "
-       << (r.faultsDetected ? "true" : "false")
-       << ", \"divergences\": " << r.divergences
-       << ", \"lost_work\": " << r.lostWork
-       << ", \"recovery_windows\": [";
-    for (std::size_t i = 0; i < r.recoveryWindows.size(); ++i)
-        os << (i ? ", " : "") << r.recoveryWindows[i];
-    os << "], \"recovery_phases\": {";
-    for (std::size_t p = 0; p < kRecoveryPhases; ++p) {
-        os << (p ? ", " : "") << "\"" << kPhaseJsonKeys[p]
-           << "\": " << r.recoveryPhaseCycles[p];
-    }
-    os << "}, \"stats\": ";
-    writeFaultStatsJson(os, r.faults);
-    if (!r.detail.empty()) {
-        os << ", \"detail\": ";
-        jsonEscape(os, r.detail);
-    }
-    os << "}";
-}
-
-/** Shortest round-trippable decimal for a JSON number. */
-void
-writeDouble(std::ostream &os, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.12g", v);
-    os << buf;
+    w.key("faults").beginArray(json::kSpaced);
+    for (const MediaFault &f : r.c.plan.faults)
+        w.value(faultBrief(f));
+    w.end().field("pass", r.pass).field("ran", r.ran);
+    w.field("crashed", r.crashed).field("consistent", r.consistent);
+    w.field("result_match", r.resultMatch);
+    w.field("io_checked", r.ioChecked).field("io_match", r.ioMatch);
+    w.field("faults_detected", r.faultsDetected);
+    w.field("divergences", r.divergences);
+    w.field("lost_work", r.lostWork).key("recovery_windows");
+    writeCountsJson(w, r.recoveryWindows);
+    w.key("recovery_phases");
+    writePhasesJson(w, r.recoveryPhaseCycles);
+    w.key("stats");
+    writeFaultStatsJson(w, r.faults);
+    if (!r.detail.empty())
+        w.field("detail", r.detail);
+    w.end();
 }
 
 void
-writeHistogramJson(std::ostream &os, const RecoveryHistogram &h)
+writeHistogramJson(json::Writer &w, const RecoveryHistogram &h)
 {
-    os << "{\"samples\": " << h.samples << ", \"min\": " << h.min
-       << ", \"max\": " << h.max << ", \"total\": " << h.total
-       << ", \"mean\": ";
-    writeDouble(os, h.mean());
-    os << ", \"bucket_width\": " << h.bucketWidth
-       << ", \"counts\": [";
+    w.beginObject(json::kSpaced).field("samples", h.samples);
+    w.field("min", h.min).field("max", h.max).field("total", h.total);
+    w.field("mean", h.mean()).field("bucket_width", h.bucketWidth);
     // Trim trailing empty buckets: the width is fixed, so readers
     // rebuild the tail as zeros.
     std::size_t last = h.counts.size();
     while (last > 0 && h.counts[last - 1] == 0)
         --last;
-    for (std::size_t i = 0; i < last; ++i)
-        os << (i ? ", " : "") << h.counts[i];
-    os << "]}";
+    w.key("counts");
+    writeCountsJson(w, std::span(h.counts.data(), last));
+    w.end();
 }
 
 void
-writeSchemeRecoveryJson(std::ostream &os,
+writeSchemeRecoveryJson(json::Writer &w,
                         const SchemeRecoveryStats &st)
 {
-    os << "{\"name\": ";
-    jsonEscape(os, st.scheme);
-    os << ", \"crashes\": " << st.crashes << ", \"latency\": ";
-    writeHistogramJson(os, st.latency);
-    os << ", \"lost_work\": ";
-    writeHistogramJson(os, st.lostWork);
-    os << ", \"phases\": {";
-    for (std::size_t p = 0; p < kRecoveryPhases; ++p) {
-        os << (p ? ", " : "") << "\"" << kPhaseJsonKeys[p]
-           << "\": " << st.phaseCycles[p];
+    w.beginObject(json::kSpaced).field("name", st.scheme);
+    w.field("crashes", st.crashes).key("latency");
+    writeHistogramJson(w, st.latency);
+    w.key("lost_work");
+    writeHistogramJson(w, st.lostWork);
+    w.key("phases");
+    writePhasesJson(w, st.phaseCycles);
+    w.field("runtime_overhead", st.runtimeOverhead);
+    w.key("durable_lin").beginObject(json::kSpaced);
+    w.field("checked", st.dlChecked).field("pass", st.dlPass);
+    w.field("violation", st.dlViolation);
+    w.field("vacuous", st.dlVacuous).end();
+    w.key("golden_cycles").beginArray(json::kSpaced);
+    for (const auto &[app, cycles] : st.goldenCycles) {
+        w.beginObject(json::kSpaced).field("name", app);
+        w.field("cycles", cycles).end();
     }
-    os << "}, \"runtime_overhead\": ";
-    writeDouble(os, st.runtimeOverhead);
-    os << ", \"durable_lin\": {\"checked\": " << st.dlChecked
-       << ", \"pass\": " << st.dlPass
-       << ", \"violation\": " << st.dlViolation
-       << ", \"vacuous\": " << st.dlVacuous << "}";
-    os << ", \"golden_cycles\": [";
-    for (std::size_t i = 0; i < st.goldenCycles.size(); ++i) {
-        os << (i ? ", " : "") << "{\"name\": ";
-        jsonEscape(os, st.goldenCycles[i].first);
-        os << ", \"cycles\": " << st.goldenCycles[i].second << "}";
-    }
-    os << "]}";
+    w.end().end();
 }
 
 /** Per-(app, scheme) golden context shared read-only by its cases. */
@@ -935,45 +900,37 @@ runCampaign(const CampaignOptions &options)
 void
 CampaignReport::writeJson(std::ostream &os) const
 {
-    os << "{\n  \"cases_run\": " << casesRun
-       << ",\n  \"cases_passed\": " << casesPassed
-       << ",\n  \"failure_count\": " << failures.size()
-       << ",\n  \"shrink_runs\": " << shrinkRuns
-       << ",\n  \"totals\": ";
-    writeFaultStatsJson(os, totals);
-    os << ",\n  \"checkpoint_cache\": {\"enabled\": "
-       << (ckptCache.enabled ? "true" : "false")
-       << ", \"captures\": " << ckptCache.captures
-       << ", \"forks\": " << ckptCache.forks
-       << ", \"evictions\": " << ckptCache.evictions
-       << ", \"fallbacks\": " << ckptCache.fallbacks
-       << ", \"fallback_reasons\": {";
+    json::Writer w(os);
+    w.beginObject(json::lines(2)).field("cases_run", casesRun);
+    w.field("cases_passed", casesPassed);
+    w.field("failure_count", failures.size());
+    w.field("shrink_runs", shrinkRuns).key("totals");
+    writeFaultStatsJson(w, totals);
+    w.key("checkpoint_cache").beginObject(json::kSpaced);
+    w.field("enabled", ckptCache.enabled);
+    w.field("captures", ckptCache.captures);
+    w.field("forks", ckptCache.forks);
+    w.field("evictions", ckptCache.evictions);
+    w.field("fallbacks", ckptCache.fallbacks);
+    w.key("fallback_reasons").beginObject(json::kSpaced);
     for (std::size_t f = 1; f < core::kNumForkFallbacks; ++f) {
-        os << (f > 1 ? ", " : "") << "\""
-           << core::forkFallbackName(static_cast<core::ForkFallback>(f))
-           << "\": " << ckptCache.fallbackReasons[f];
+        w.field(core::forkFallbackName(
+                    static_cast<core::ForkFallback>(f)),
+                ckptCache.fallbackReasons[f]);
     }
-    os << "}, \"bytes_resident\": " << ckptCache.bytesResident
-       << ", \"entries\": " << ckptCache.entries << "}";
-    os << ",\n  \"recovery\": [";
-    for (std::size_t i = 0; i < recovery.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ");
-        writeSchemeRecoveryJson(os, recovery[i]);
-    }
-    os << (recovery.empty() ? "]" : "\n  ]");
-    os << ",\n  \"failures\": [";
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ");
-        writeCaseJson(os, failures[i]);
-    }
-    os << (failures.empty() ? "]" : "\n  ]");
-    os << ",\n  \"cases\": [";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ");
-        writeCaseJson(os, cases[i]);
-    }
-    os << (cases.empty() ? "]" : "\n  ]");
-    os << "\n}\n";
+    w.end().field("bytes_resident", ckptCache.bytesResident);
+    w.field("entries", ckptCache.entries).end();
+    w.key("recovery").beginArray(json::lines(2));
+    for (const auto &st : recovery)
+        writeSchemeRecoveryJson(w, st);
+    w.end().key("failures").beginArray(json::lines(2));
+    for (const auto &r : failures)
+        writeCaseJson(w, r);
+    w.end().key("cases").beginArray(json::lines(2));
+    for (const auto &r : cases)
+        writeCaseJson(w, r);
+    w.end().end();
+    os << "\n";
 }
 
 void

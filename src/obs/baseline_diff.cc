@@ -1,325 +1,33 @@
 #include "obs/baseline_diff.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
+
+#include "sim/json.hh"
 
 namespace cwsp::obs {
 
 namespace {
 
 /**
- * Minimal recursive-descent JSON walker. Instead of building a value
- * tree it flattens numeric leaves straight into the metric map —
- * stats files are wide but shallow, and this keeps the differ free
- * of a DOM it would only traverse once.
+ * The "name" member of the object whose ObjectBegin @p r (a copy of
+ * the walker's reader) just read, or "" when it has no string one.
  */
-class MetricFlattener
+std::string
+peekName(json::Reader r)
 {
-  public:
-    MetricFlattener(const std::string &text,
-                    std::map<std::string, double> &out)
-        : text_(text), out_(out)
-    {
-    }
-
-    void
-    run()
-    {
-        skipWs();
-        parseValue("");
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after JSON document");
-    }
-
-  private:
-    const std::string &text_;
-    std::map<std::string, double> &out_;
-    std::size_t pos_ = 0;
-
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        throw std::runtime_error("JSON parse error at offset " +
-                                 std::to_string(pos_) + ": " + what);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return s;
-            if (c != '\\') {
-                s += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            char e = text_[pos_++];
-            switch (e) {
-              case '"': s += '"'; break;
-              case '\\': s += '\\'; break;
-              case '/': s += '/'; break;
-              case 'n': s += '\n'; break;
-              case 't': s += '\t'; break;
-              case 'r': s += '\r'; break;
-              case 'b': s += '\b'; break;
-              case 'f': s += '\f'; break;
-              case 'u':
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                // Metric names are ASCII; a non-ASCII code point
-                // only needs to round-trip as *some* stable byte.
-                pos_ += 4;
-                s += '?';
-                break;
-              default: fail("bad escape");
-            }
-        }
-    }
-
-    double
-    parseNumber()
-    {
-        std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(
-                    text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
-            ++pos_;
-        }
-        if (pos_ == start)
-            fail("expected number");
-        return std::strtod(text_.substr(start, pos_ - start).c_str(),
-                           nullptr);
-    }
-
-    void
-    skipLiteral(const char *lit)
-    {
-        for (const char *p = lit; *p; ++p) {
-            if (pos_ >= text_.size() || text_[pos_] != *p)
-                fail(std::string("expected literal ") + lit);
-            ++pos_;
-        }
-    }
-
-    /**
-     * Peek an object element's "name" member without consuming it,
-     * so array entries can be keyed the google-benchmark way.
-     */
-    std::string
-    peekObjectName()
-    {
-        std::size_t saved = pos_;
-        std::string name;
-        expect('{');
-        skipWs();
-        while (peek() != '}') {
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            skipWs();
-            if (key == "name" && peek() == '"') {
-                name = parseString();
-                break;
-            }
-            skipValueOnly();
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                skipWs();
-            }
-        }
-        pos_ = saved;
-        return name;
-    }
-
-    /** Consume a value without emitting metrics (for peeking). */
-    void
-    skipValueOnly()
-    {
-        char c = peek();
-        if (c == '"') {
-            parseString();
-        } else if (c == '{') {
-            ++pos_;
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return;
-            }
-            while (true) {
-                parseString();
-                skipWs();
-                expect(':');
-                skipWs();
-                skipValueOnly();
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                expect('}');
-                return;
-            }
-        } else if (c == '[') {
-            ++pos_;
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return;
-            }
-            while (true) {
-                skipValueOnly();
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                expect(']');
-                return;
-            }
-        } else if (c == 't') {
-            skipLiteral("true");
-        } else if (c == 'f') {
-            skipLiteral("false");
-        } else if (c == 'n') {
-            skipLiteral("null");
-        } else {
-            parseNumber();
-        }
-    }
-
-    static std::string
-    join(const std::string &prefix, const std::string &key)
-    {
-        return prefix.empty() ? key : prefix + "." + key;
-    }
-
-    void
-    parseValue(const std::string &path)
-    {
-        char c = peek();
-        if (c == '{') {
-            ++pos_;
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return;
-            }
-            while (true) {
-                std::string key = parseString();
-                skipWs();
-                expect(':');
-                skipWs();
-                parseValue(join(path, key));
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                expect('}');
-                return;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return;
-            }
-            std::size_t index = 0;
-            while (true) {
-                std::string key;
-                skipWs();
-                if (peek() == '{') {
-                    std::string name = peekObjectName();
-                    if (!name.empty())
-                        key = "[" + name + "]";
-                }
-                if (key.empty())
-                    key = "[" + std::to_string(index) + "]";
-                parseValue(path + key);
-                ++index;
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                expect(']');
-                return;
-            }
-        }
-        if (c == '"') {
-            parseString();
-            return;
-        }
-        if (c == 't') {
-            skipLiteral("true");
-            return;
-        }
-        if (c == 'f') {
-            skipLiteral("false");
-            return;
-        }
-        if (c == 'n') {
-            skipLiteral("null");
-            return;
-        }
-        out_[path] = parseNumber();
-    }
-};
+    std::string name;
+    r.forEachMember([&](const std::string &key, json::Token v) {
+        if (name.empty() && key == "name" && v == json::Token::String)
+            name = r.text();
+    });
+    return name;
+}
 
 bool
 ignored(const std::string &metric, const DiffOptions &options)
@@ -344,21 +52,55 @@ changeMagnitude(const MetricDelta &d)
 
 } // namespace
 
-std::map<std::string, double>
-flattenMetricsJson(const std::string &json)
+MetricMap
+flattenMetricsJson(const std::string &text)
 {
-    std::map<std::string, double> out;
-    MetricFlattener(json, out).run();
+    struct Level
+    {
+        std::string path;
+        bool array;
+        std::size_t index;
+    };
+    MetricMap out;
+    json::Reader r(text);
+    std::vector<Level> levels;
+    std::string member; // path of the object member read next
+    for (auto t = r.next(); t != json::Token::End; t = r.next()) {
+        if (t == json::Token::Key) {
+            const std::string &prefix = levels.back().path;
+            member = prefix.empty() ? r.text() : prefix + "." + r.text();
+            continue;
+        }
+        if (t == json::Token::ObjectEnd || t == json::Token::ArrayEnd) {
+            levels.pop_back();
+            continue;
+        }
+        std::string path = levels.empty() ? "" : member;
+        if (!levels.empty() && levels.back().array) {
+            // Array entries key by their "name" member when they
+            // have one (the google-benchmark convention), else by
+            // index.
+            Level &a = levels.back();
+            std::string name =
+                t == json::Token::ObjectBegin ? peekName(r) : "";
+            path = a.path + "[" +
+                   (name.empty() ? std::to_string(a.index) : name) +
+                   "]";
+            ++a.index;
+        }
+        if (t == json::Token::ObjectBegin || t == json::Token::ArrayBegin)
+            levels.push_back({std::move(path),
+                              t == json::Token::ArrayBegin, 0});
+        else if (t == json::Token::Number)
+            out[path] = r.number();
+    }
     return out;
 }
 
 DiffResult
-diffMetrics(const std::string &before_json,
-            const std::string &after_json, const DiffOptions &options)
+diffMetrics(const MetricMap &before, const MetricMap &after,
+            const DiffOptions &options)
 {
-    auto before = flattenMetricsJson(before_json);
-    auto after = flattenMetricsJson(after_json);
-
     DiffResult result;
     for (const auto &[metric, old_value] : before) {
         auto it = after.find(metric);
@@ -409,68 +151,7 @@ diffMetrics(const std::string &before_json,
     return result;
 }
 
-bool
-diffMetricFiles(const std::string &before_path,
-                const std::string &after_path,
-                const DiffOptions &options, DiffResult &result,
-                std::string &error)
-{
-    auto slurp = [&error](const std::string &path,
-                          std::string &out) {
-        std::ifstream is(path);
-        if (!is) {
-            error = "cannot open " + path;
-            return false;
-        }
-        std::ostringstream ss;
-        ss << is.rdbuf();
-        out = ss.str();
-        return true;
-    };
-    std::string before_json;
-    std::string after_json;
-    if (!slurp(before_path, before_json) ||
-        !slurp(after_path, after_json)) {
-        return false;
-    }
-    try {
-        result = diffMetrics(before_json, after_json, options);
-    } catch (const std::exception &ex) {
-        error = ex.what();
-        return false;
-    }
-    return true;
-}
-
 namespace {
-
-/** Escape a string for embedding in a JSON document. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-/** Shortest round-trippable decimal for a metric value. */
-std::string
-formatNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.12g", v);
-    return buf;
-}
 
 /**
  * Canonical trajectory key: strip a leading "binaries[<name>]."
@@ -499,18 +180,19 @@ appendTrajectory(const std::string &trajectory_path,
                  const std::string &summary_path,
                  const TrajectoryOptions &options, std::string &error)
 {
-    std::string summary;
-    {
-        std::ifstream is(summary_path);
-        if (!is) {
-            error = "cannot open " + summary_path;
-            return false;
-        }
+    auto slurp = [](const std::string &path, std::string &out) {
+        std::ifstream is(path);
         std::ostringstream ss;
         ss << is.rdbuf();
-        summary = ss.str();
+        out = ss.str();
+        return bool(is);
+    };
+    std::string summary;
+    if (!slurp(summary_path, summary)) {
+        error = "cannot open " + summary_path;
+        return false;
     }
-    std::map<std::string, double> metrics;
+    MetricMap metrics;
     try {
         metrics = flattenMetricsJson(summary);
     } catch (const std::exception &ex) {
@@ -518,16 +200,6 @@ appendTrajectory(const std::string &trajectory_path,
         return false;
     }
 
-    std::ostringstream entry;
-    // The label is serialized as "name" so flattenMetricsJson (and
-    // therefore --diff over two trajectory files) keys each entry by
-    // its label instead of its array position.
-    entry << " {\n  \"name\": \"" << jsonEscape(options.label)
-          << "\",\n";
-    if (!options.date.empty())
-        entry << "  \"date\": \"" << jsonEscape(options.date)
-              << "\",\n";
-    entry << "  \"metrics\": {";
     // Select, then normalize: the normalized keys re-sort (and would
     // collide if two binaries exported the same benchmark — first
     // one wins, deterministically by source key order).
@@ -544,26 +216,25 @@ appendTrajectory(const std::string &trajectory_path,
         if (keep)
             kept.emplace(normalizeTrajectoryKey(metric), value);
     }
-    bool first = true;
-    for (const auto &[metric, value] : kept) {
-        entry << (first ? "" : ",") << "\n   \""
-              << jsonEscape(metric) << "\": " << formatNumber(value);
-        first = false;
-    }
-    entry << (first ? "}" : "\n  }") << "\n }";
+    // The label is serialized as "name" so flattenMetricsJson (and
+    // therefore --diff over two trajectory files) keys each entry by
+    // its label instead of its array position.
+    std::ostringstream entry;
+    entry << ' ';
+    json::Writer w(entry, 1);
+    w.beginObject(json::lines(1)).field("name", options.label);
+    if (!options.date.empty())
+        w.field("date", options.date);
+    w.key("metrics").beginObject(json::lines(1));
+    for (const auto &[metric, value] : kept)
+        w.field(metric, value);
+    w.end().end();
 
     // Splice into the existing array without a full parse: the file
     // is only ever written by this function, so the closing ']' as
     // the last non-whitespace byte is a structural invariant.
     std::string existing;
-    {
-        std::ifstream is(trajectory_path);
-        if (is) {
-            std::ostringstream ss;
-            ss << is.rdbuf();
-            existing = ss.str();
-        }
-    }
+    slurp(trajectory_path, existing); // absent: start a new array
     std::string body;
     std::size_t end = existing.find_last_not_of(" \t\r\n");
     if (end == std::string::npos) {

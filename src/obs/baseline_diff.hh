@@ -24,11 +24,16 @@ struct DiffOptions
     double threshold = 0.05;
     /**
      * Metrics containing any of these substrings are skipped.
-     * Defaults drop wall-clock measurements, which vary run to run
-     * on a loaded machine; simulated-cycle metrics stay in.
+     * Defaults drop host measurements, which vary run to run on a
+     * loaded machine: wall-clock times, bench_simspeed's throughput
+     * counters, and google-benchmark's adaptive iteration count
+     * (".iterations": a bare "iterations" would also match benchmark
+     * names ending in "/iterations:1" and drop their simulated
+     * metrics). Simulated-cycle metrics stay in.
      */
     std::vector<std::string> ignoreSubstrings = {
-        "real_time", "cpu_time", "wall_clock", "load_avg"};
+        "real_time",    "cpu_time",     "wall_clock", "load_avg",
+        "sims_per_sec", "ns_per_instr", ".iterations"};
 };
 
 /** One metric whose value moved beyond the threshold. */
@@ -53,28 +58,20 @@ struct DiffResult
     bool hasRegressions() const { return !regressions.empty(); }
 };
 
+/** Numeric leaves of a JSON document, keyed by dotted path. */
+using MetricMap = std::map<std::string, double>;
+
 /**
  * Flatten a JSON document's numeric leaves to dotted metric paths.
  * Array elements are keyed by their "name" member when present (the
  * google-benchmark convention), else by index. Throws
  * std::runtime_error on malformed JSON.
  */
-std::map<std::string, double>
-flattenMetricsJson(const std::string &json);
+MetricMap flattenMetricsJson(const std::string &json);
 
-/** Compare two JSON documents (already in memory). */
-DiffResult diffMetrics(const std::string &before_json,
-                       const std::string &after_json,
+/** Compare two flattened documents. */
+DiffResult diffMetrics(const MetricMap &before, const MetricMap &after,
                        const DiffOptions &options = DiffOptions{});
-
-/**
- * Compare two JSON files. On a read/parse failure, returns false and
- * sets @p error; @p result is untouched.
- */
-bool diffMetricFiles(const std::string &before_path,
-                     const std::string &after_path,
-                     const DiffOptions &options, DiffResult &result,
-                     std::string &error);
 
 /** Human-readable report, largest relative changes first. */
 void printDiffReport(std::ostream &os, const DiffResult &result,

@@ -1,13 +1,11 @@
 #include "obs/recovery_report.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/config.hh"
 #include "obs/baseline_diff.hh"
+#include "sim/json.hh"
 
 namespace cwsp::obs {
 
@@ -24,31 +22,6 @@ schemeRank(const std::string &s)
     const auto &order = core::schemeNames();
     return static_cast<int>(std::find(order.begin(), order.end(), s) -
                             order.begin());
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-formatNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
 }
 
 /**
@@ -184,33 +157,25 @@ void
 writeRecoveryReportJson(std::ostream &os,
                         const RecoveryReport &report)
 {
-    os << "{\n  \"schemes\": [";
-    for (std::size_t i = 0; i < report.rows.size(); ++i) {
-        const RecoveryParetoRow &r = report.rows[i];
-        os << (i ? ",\n    " : "\n    ");
-        os << "{\"name\": \"" << jsonEscape(r.scheme)
-           << "\", \"crashes\": " << r.crashes
-           << ", \"mean_recovery_cycles\": "
-           << formatNumber(r.meanRecoveryCycles)
-           << ", \"max_recovery_cycles\": "
-           << formatNumber(r.maxRecoveryCycles)
-           << ", \"mean_lost_work\": "
-           << formatNumber(r.meanLostWork)
-           << ", \"runtime_overhead\": "
-           << formatNumber(r.runtimeOverhead)
-           << ", \"pareto_frontier\": "
-           << (r.runtimeOverhead > 0.0 && r.crashes > 0 &&
-                       !r.dominated
-                   ? "true"
-                   : "false")
-           << ", \"phases\": {";
-        for (std::size_t p = 0; p < kReportPhases; ++p) {
-            os << (p ? ", " : "") << "\"" << kPhaseKeys[p]
-               << "\": " << formatNumber(r.phaseCycles[p]);
-        }
-        os << "}}";
+    json::Writer w(os);
+    w.beginObject(json::lines(2)).key("schemes");
+    w.beginArray(json::lines(2));
+    for (const RecoveryParetoRow &r : report.rows) {
+        w.beginObject(json::kSpaced).field("name", r.scheme);
+        w.field("crashes", r.crashes);
+        w.field("mean_recovery_cycles", r.meanRecoveryCycles, 6);
+        w.field("max_recovery_cycles", r.maxRecoveryCycles, 6);
+        w.field("mean_lost_work", r.meanLostWork, 6);
+        w.field("runtime_overhead", r.runtimeOverhead, 6);
+        w.field("pareto_frontier", r.runtimeOverhead > 0.0 &&
+                                       r.crashes > 0 && !r.dominated);
+        w.key("phases").beginObject(json::kSpaced);
+        for (std::size_t p = 0; p < kReportPhases; ++p)
+            w.field(kPhaseKeys[p], r.phaseCycles[p], 6);
+        w.end().end();
     }
-    os << (report.rows.empty() ? "]" : "\n  ]") << "\n}\n";
+    w.end().end();
+    os << "\n";
 }
 
 void
@@ -231,11 +196,11 @@ writeRecoveryReportMarkdown(std::ostream &os,
           "|\n";
     for (const RecoveryParetoRow &r : report.rows) {
         os << "| " << r.scheme << " | " << r.crashes << " | "
-           << formatNumber(r.meanRecoveryCycles) << " | "
-           << formatNumber(r.maxRecoveryCycles) << " | "
-           << formatNumber(r.meanLostWork) << " | ";
+           << json::numberText(r.meanRecoveryCycles, 6) << " | "
+           << json::numberText(r.maxRecoveryCycles, 6) << " | "
+           << json::numberText(r.meanLostWork, 6) << " | ";
         if (r.runtimeOverhead > 0.0)
-            os << formatNumber(r.runtimeOverhead);
+            os << json::numberText(r.runtimeOverhead, 6);
         else
             os << "n/a";
         os << " | "
@@ -259,7 +224,7 @@ writeRecoveryReportMarkdown(std::ostream &os,
     for (const RecoveryParetoRow &r : report.rows) {
         os << "| " << r.scheme << " |";
         for (std::size_t p = 0; p < kReportPhases; ++p)
-            os << " " << formatNumber(r.phaseCycles[p]) << " |";
+            os << " " << json::numberText(r.phaseCycles[p], 6) << " |";
         os << "\n";
     }
 }
@@ -281,13 +246,13 @@ telemetryWarnings(const std::map<std::string, double> &metrics)
             endsWith(metric, ".dropped")) {
             warnings.push_back(
                 "trace ring truncated: " + metric + " = " +
-                formatNumber(value) +
+                json::numberText(value, 6) +
                 " (events lost; raise the trace capacity or narrow "
                 "the category mask)");
         } else if (endsWith(metric, ".fallbacks")) {
             warnings.push_back(
                 "checkpoint forks fell back: " + metric + " = " +
-                formatNumber(value) +
+                json::numberText(value, 6) +
                 " (cases re-executed from scratch; the campaign "
                 "report's checkpoint_cache.fallback_reasons names "
                 "why)");
@@ -296,338 +261,87 @@ telemetryWarnings(const std::map<std::string, double> &metrics)
     return warnings;
 }
 
-namespace {
-
-/**
- * Minimal Chrome-trace walker: finds the traceEvents array and
- * checks each event object without building a DOM. Grammar errors
- * throw; semantic findings accumulate in the validation result.
- */
-class TraceWalker
-{
-  public:
-    TraceWalker(const std::string &text, TraceValidation &out)
-        : text_(text), out_(out)
-    {
-    }
-
-    void
-    run()
-    {
-        skipWs();
-        parseValue(/*topLevel=*/true);
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after JSON document");
-        if (!sawEvents_)
-            out_.errors.push_back(
-                "document has no traceEvents array");
-    }
-
-  private:
-    const std::string &text_;
-    TraceValidation &out_;
-    std::size_t pos_ = 0;
-    bool sawEvents_ = false;
-    /** Last ts per counter series, keyed "name\x1f<tid>". */
-    std::map<std::string, double> lastTs_;
-    std::map<std::string, bool> flagged_;
-
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        throw std::runtime_error("JSON parse error at offset " +
-                                 std::to_string(pos_) + ": " + what);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return s;
-            if (c != '\\') {
-                s += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            char e = text_[pos_++];
-            switch (e) {
-              case '"': s += '"'; break;
-              case '\\': s += '\\'; break;
-              case '/': s += '/'; break;
-              case 'n': s += '\n'; break;
-              case 't': s += '\t'; break;
-              case 'r': s += '\r'; break;
-              case 'b': s += '\b'; break;
-              case 'f': s += '\f'; break;
-              case 'u':
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                pos_ += 4;
-                s += '?';
-                break;
-              default: fail("bad escape");
-            }
-        }
-    }
-
-    double
-    parseNumber()
-    {
-        std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(
-                    text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
-            ++pos_;
-        }
-        if (pos_ == start)
-            fail("expected number");
-        return std::strtod(
-            text_.substr(start, pos_ - start).c_str(), nullptr);
-    }
-
-    void
-    skipLiteral(const char *lit)
-    {
-        for (const char *p = lit; *p; ++p) {
-            if (pos_ >= text_.size() || text_[pos_] != *p)
-                fail(std::string("expected literal ") + lit);
-            ++pos_;
-        }
-    }
-
-    /** Consume any value without inspecting it. */
-    void
-    skipValue()
-    {
-        char c = peek();
-        if (c == '"') {
-            parseString();
-        } else if (c == '{') {
-            ++pos_;
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return;
-            }
-            while (true) {
-                parseString();
-                skipWs();
-                expect(':');
-                skipWs();
-                skipValue();
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                expect('}');
-                return;
-            }
-        } else if (c == '[') {
-            ++pos_;
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return;
-            }
-            while (true) {
-                skipValue();
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                expect(']');
-                return;
-            }
-        } else if (c == 't') {
-            skipLiteral("true");
-        } else if (c == 'f') {
-            skipLiteral("false");
-        } else if (c == 'n') {
-            skipLiteral("null");
-        } else {
-            parseNumber();
-        }
-    }
-
-    /** One traceEvents element: pull name/ph/tid/ts, verify. */
-    void
-    parseEvent()
-    {
-        expect('{');
-        skipWs();
-        std::string name;
-        std::string ph;
-        double tid = 0;
-        double ts = 0;
-        bool hasTs = false;
-        if (peek() != '}') {
-            while (true) {
-                std::string key = parseString();
-                skipWs();
-                expect(':');
-                skipWs();
-                if (key == "name" && peek() == '"') {
-                    name = parseString();
-                } else if (key == "ph" && peek() == '"') {
-                    ph = parseString();
-                } else if (key == "tid" && peek() != '"' &&
-                           peek() != '{' && peek() != '[') {
-                    tid = parseNumber();
-                } else if (key == "ts" && peek() != '"' &&
-                           peek() != '{' && peek() != '[') {
-                    ts = parseNumber();
-                    hasTs = true;
-                } else {
-                    skipValue();
-                }
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                break;
-            }
-        }
-        expect('}');
-        ++out_.events;
-        if (ph != "C")
-            return;
-        ++out_.counterEvents;
-        if (!hasTs) {
-            out_.errors.push_back("counter event \"" + name +
-                                  "\" has no ts");
-            return;
-        }
-        std::string series =
-            name + '\x1f' + std::to_string(static_cast<long>(tid));
-        auto it = lastTs_.find(series);
-        if (it == lastTs_.end()) {
-            ++out_.counterTracks;
-            lastTs_[series] = ts;
-            return;
-        }
-        if (ts < it->second && !flagged_[series]) {
-            out_.errors.push_back(
-                "counter track \"" + name + "\" (tid " +
-                std::to_string(static_cast<long>(tid)) +
-                ") goes backwards in time: ts " +
-                formatNumber(ts) + " after " +
-                formatNumber(it->second));
-            flagged_[series] = true;
-        }
-        it->second = std::max(it->second, ts);
-    }
-
-    void
-    parseValue(bool topLevel)
-    {
-        char c = peek();
-        if (c == '{') {
-            ++pos_;
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return;
-            }
-            while (true) {
-                std::string key = parseString();
-                skipWs();
-                expect(':');
-                skipWs();
-                if (topLevel && key == "traceEvents" &&
-                    peek() == '[') {
-                    sawEvents_ = true;
-                    ++pos_;
-                    skipWs();
-                    if (peek() == ']') {
-                        ++pos_;
-                    } else {
-                        while (true) {
-                            parseEvent();
-                            skipWs();
-                            if (peek() == ',') {
-                                ++pos_;
-                                skipWs();
-                                continue;
-                            }
-                            expect(']');
-                            break;
-                        }
-                    }
-                } else {
-                    skipValue();
-                }
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    skipWs();
-                    continue;
-                }
-                expect('}');
-                return;
-            }
-        }
-        skipValue();
-    }
-};
-
-} // namespace
-
 bool
-validateChromeTrace(const std::string &json, TraceValidation &out,
+validateChromeTrace(const std::string &text, TraceValidation &out,
                     std::string &error)
 {
     out = TraceValidation{};
+    json::Reader r(text);
+    /** Last ts per counter series (name, tid), and whether flagged. */
+    std::map<std::pair<std::string, double>, std::pair<double, bool>>
+        series;
+    bool sawEvents = false;
+    auto checkEvent = [&]() {
+        std::string name, ph;
+        double tid = 0, ts = 0;
+        bool hasTs = false;
+        r.forEachMember([&](const std::string &key, json::Token v) {
+            if (v == json::Token::String && key == "name") {
+                name = r.text();
+            } else if (v == json::Token::String && key == "ph") {
+                ph = r.text();
+            } else if (v == json::Token::Number && key == "tid") {
+                tid = r.number();
+            } else if (v == json::Token::Number && key == "ts") {
+                ts = r.number();
+                hasTs = true;
+            }
+        });
+        ++out.events;
+        if (ph != "C")
+            return;
+        ++out.counterEvents;
+        if (!hasTs) {
+            out.errors.push_back("counter event \"" + name +
+                                 "\" has no ts");
+            return;
+        }
+        auto [it, fresh] = series.try_emplace({name, tid}, ts, false);
+        if (fresh) {
+            ++out.counterTracks;
+            return;
+        }
+        auto &[last, flagged] = it->second;
+        if (ts < last && !flagged) {
+            out.errors.push_back(
+                "counter track \"" + name + "\" (tid " +
+                json::numberText(tid) +
+                ") goes backwards in time: ts " +
+                json::numberText(ts, 6) + " after " +
+                json::numberText(last, 6));
+            flagged = true;
+        }
+        last = std::max(last, ts);
+    };
+    auto member = [&](const std::string &key, json::Token v) {
+        if (key == "traceEvents" && v == json::Token::ArrayBegin) {
+            sawEvents = true;
+            for (auto e = r.next(); e != json::Token::ArrayEnd;
+                 e = r.next()) {
+                if (e != json::Token::ObjectBegin)
+                    throw std::runtime_error(
+                        "traceEvents entry is not an object");
+                checkEvent();
+            }
+        } else if (key == "otherData" && v == json::Token::ObjectBegin) {
+            r.forEachMember([&](const std::string &k, json::Token d) {
+                if (k == "dropped" && d == json::Token::Number)
+                    out.dropped = r.number();
+            });
+        }
+    };
     try {
-        TraceWalker(json, out).run();
-    } catch (const std::exception &ex) {
+        if (r.next() == json::Token::ObjectBegin)
+            r.forEachMember(member);
+        else
+            r.skip();
+        r.next(); // End, or a throw on trailing characters
+    } catch (const std::runtime_error &ex) {
         error = ex.what();
         return false;
     }
+    if (!sawEvents)
+        out.errors.push_back("document has no traceEvents array");
     return true;
 }
 

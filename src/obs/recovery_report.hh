@@ -84,6 +84,7 @@ struct TraceValidation
     std::size_t events = 0;        ///< traceEvents entries
     std::size_t counterEvents = 0; ///< "ph":"C" samples
     std::size_t counterTracks = 0; ///< distinct (name, tid) series
+    double dropped = 0; ///< otherData.dropped: events the ring lost
     std::vector<std::string> errors;
 
     bool ok() const { return errors.empty(); }

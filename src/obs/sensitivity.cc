@@ -271,37 +271,6 @@ runSensitivity(driver::BatchRunner &runner,
 }
 
 void
-writeSensitivityJson(std::ostream &os,
-                     const std::vector<SensitivityReport> &reports,
-                     const std::string &indent)
-{
-    os << "[";
-    for (std::size_t s = 0; s < reports.size(); ++s) {
-        const SensitivityReport &r = reports[s];
-        os << (s ? "," : "") << "\n"
-           << indent << "  {\"scheme\": \"" << r.scheme
-           << "\", \"knobs\": [";
-        for (std::size_t k = 0; k < r.knobs.size(); ++k) {
-            const KnobSensitivity &ks = r.knobs[k];
-            char buf[256];
-            std::snprintf(
-                buf, sizeof(buf),
-                "{\"name\": \"%s\", \"rank\": %d, \"score\": %.6g, "
-                "\"lo\": {\"value\": %.6g, \"slowdown\": %.6g}, "
-                "\"default\": {\"value\": %.6g, \"slowdown\": %.6g}, "
-                "\"hi\": {\"value\": %.6g, \"slowdown\": %.6g}}",
-                ks.knob.c_str(), ks.rank, ks.score, ks.loValue,
-                ks.loSlowdown, ks.defaultValue, ks.defaultSlowdown,
-                ks.hiValue, ks.hiSlowdown);
-            os << (k ? ",\n" + indent + "    " : "\n" + indent + "    ")
-               << buf;
-        }
-        os << (r.knobs.empty() ? "]" : "\n" + indent + "  ]") << "}";
-    }
-    os << (reports.empty() ? "]" : "\n" + indent + "]");
-}
-
-void
 writeSensitivityMarkdown(std::ostream &os,
                          const std::vector<SensitivityReport> &reports)
 {

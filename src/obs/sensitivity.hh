@@ -71,11 +71,6 @@ runSensitivity(driver::BatchRunner &runner,
                const std::vector<workloads::AppProfile> &apps,
                const SensitivityOptions &options = {});
 
-/** JSON array (no trailing newline); embedded by the what-if writer. */
-void writeSensitivityJson(std::ostream &os,
-                          const std::vector<SensitivityReport> &reports,
-                          const std::string &indent);
-
 /** Markdown ranking tables, one per scheme. */
 void
 writeSensitivityMarkdown(std::ostream &os,

@@ -7,6 +7,7 @@
 #include "core/config.hh"
 #include "core/whole_system_sim.hh"
 #include "obs/stall_attribution.hh"
+#include "sim/json.hh"
 
 namespace cwsp::obs {
 
@@ -36,6 +37,35 @@ gmeanRatio(const std::vector<double> &ratios)
     for (double r : ratios)
         logsum += std::log(r);
     return std::exp(logsum / static_cast<double>(ratios.size()));
+}
+
+/** The knob-sensitivity ranking, one scheme per line. */
+void
+writeSensitivityJson(json::Writer &w,
+                     const std::vector<SensitivityReport> &reports)
+{
+    // Slowdowns and scores are read by people: 6 digits.
+    auto point = [&w](const char *name, double value,
+                      double slowdown) {
+        w.key(name).beginObject(json::kSpaced);
+        w.field("value", value, 6).field("slowdown", slowdown, 6);
+        w.end();
+    };
+    w.beginArray(json::lines(2));
+    for (const SensitivityReport &r : reports) {
+        w.beginObject(json::kSpaced).field("scheme", r.scheme);
+        w.key("knobs").beginArray(json::lines(2));
+        for (const KnobSensitivity &ks : r.knobs) {
+            w.beginObject(json::kSpaced).field("name", ks.knob);
+            w.field("rank", ks.rank).field("score", ks.score, 6);
+            point("lo", ks.loValue, ks.loSlowdown);
+            point("default", ks.defaultValue, ks.defaultSlowdown);
+            point("hi", ks.hiValue, ks.hiSlowdown);
+            w.end();
+        }
+        w.end().end();
+    }
+    w.end();
 }
 
 } // namespace
@@ -392,76 +422,65 @@ void
 writeWhatIfJson(std::ostream &os, const WhatIfReport &report,
                 const std::vector<SensitivityReport> *sensitivity)
 {
-    os << "{\n  \"whatif\": {\n    \"points\": [";
-    for (std::size_t i = 0; i < report.entries.size(); ++i) {
-        const WhatIfEntry &e = report.entries[i];
-        os << (i ? ",\n      " : "\n      ");
-        os << "{\"scheme\": \"" << e.scheme << "\", \"app\": \""
-           << e.app << "\", \"baseline_cycles\": " << e.baselineCycles
-           << ", \"real_cycles\": " << e.realCycles
-           << ", \"overhead_cycles\": " << e.overhead
-           << ", \"saved\": {";
-        for (std::size_t r = 0; r < kNumIdealResources; ++r) {
-            os << (r ? ", " : "") << "\"" << kResourceNames[r]
-               << "\": " << e.saved[r];
-        }
-        os << "}, \"ideal_cycles\": {";
-        for (std::size_t r = 0; r < kNumIdealResources; ++r) {
-            os << (r ? ", " : "") << "\"" << kResourceNames[r]
-               << "\": " << e.idealCycles[r];
-        }
-        os << "}, \"residual_cycles\": " << e.residual
-           << ", \"top_bottleneck\": \""
-           << (e.topSaved > 0 ? idealResourceName(e.topBottleneck)
-                              : "none")
-           << "\", \"top_saved_cycles\": " << e.topSaved;
+    json::Writer w(os);
+    auto perResource = [&w](const char *key, const auto &values) {
+        w.key(key).beginObject(json::kSpaced);
+        for (std::size_t r = 0; r < kNumIdealResources; ++r)
+            w.field(kResourceNames[r], values[r]);
+        w.end();
+    };
+    auto bottleneck = [](std::int64_t saved, IdealResource r) {
+        return saved > 0 ? idealResourceName(r) : "none";
+    };
+    w.beginObject(json::lines(2)).key("whatif");
+    w.beginObject(json::lines(2)).key("points");
+    w.beginArray(json::lines(2));
+    for (const WhatIfEntry &e : report.entries) {
+        w.beginObject(json::kSpaced).field("scheme", e.scheme);
+        w.field("app", e.app).field("baseline_cycles", e.baselineCycles);
+        w.field("real_cycles", e.realCycles);
+        w.field("overhead_cycles", e.overhead);
+        perResource("saved", e.saved);
+        perResource("ideal_cycles", e.idealCycles);
+        w.field("residual_cycles", e.residual);
+        w.field("top_bottleneck", bottleneck(e.topSaved, e.topBottleneck));
+        w.field("top_saved_cycles", e.topSaved);
         if (e.crossChecked) {
-            os << ", \"stalls\": {";
+            w.key("stalls").beginObject(json::kSpaced);
             for (std::size_t c = 0; c < sim::kNumStallCauses; ++c) {
-                os << (c ? ", " : "") << "\""
-                   << sim::stallCauseName(
-                          static_cast<sim::StallCause>(c))
-                   << "\": " << e.stallCycles[c];
+                w.field(sim::stallCauseName(
+                            static_cast<sim::StallCause>(c)),
+                        e.stallCycles[c]);
             }
-            os << ", \"total\": " << e.totalStallCycles << "}";
+            w.field("total", e.totalStallCycles).end();
         }
-        os << ", \"warnings\": [";
-        for (std::size_t w = 0; w < e.warnings.size(); ++w)
-            os << (w ? ", " : "") << "\"" << e.warnings[w] << "\"";
-        os << "]}";
+        w.key("warnings").beginArray(json::kSpaced);
+        for (const std::string &warning : e.warnings)
+            w.value(warning);
+        w.end().end();
     }
-    os << (report.entries.empty() ? "]" : "\n    ]")
-       << ",\n    \"scheme_summary\": [";
-    for (std::size_t i = 0; i < report.schemes.size(); ++i) {
-        const WhatIfSchemeSummary &s = report.schemes[i];
-        char gm[32];
-        std::snprintf(gm, sizeof(gm), "%.6g", s.overheadGmean);
-        os << (i ? ",\n      " : "\n      ");
-        os << "{\"name\": \"" << s.scheme
-           << "\", \"overhead_total\": " << s.overheadTotal
-           << ", \"overhead_gmean\": " << gm << ", \"saved_total\": {";
-        for (std::size_t r = 0; r < kNumIdealResources; ++r) {
-            os << (r ? ", " : "") << "\"" << kResourceNames[r]
-               << "\": " << s.savedTotal[r];
-        }
-        os << "}, \"residual_total\": " << s.residualTotal
-           << ", \"top_bottleneck\": \""
-           << (s.topSaved > 0 ? idealResourceName(s.topBottleneck)
-                              : "none")
-           << "\", \"top_saved_cycles\": " << s.topSaved
-           << ", \"warning_count\": " << s.warningCount << "}";
+    w.end().key("scheme_summary").beginArray(json::lines(2));
+    for (const WhatIfSchemeSummary &s : report.schemes) {
+        w.beginObject(json::kSpaced).field("name", s.scheme);
+        w.field("overhead_total", s.overheadTotal);
+        w.field("overhead_gmean", s.overheadGmean, 6);
+        perResource("saved_total", s.savedTotal);
+        w.field("residual_total", s.residualTotal);
+        w.field("top_bottleneck", bottleneck(s.topSaved, s.topBottleneck));
+        w.field("top_saved_cycles", s.topSaved);
+        w.field("warning_count", s.warningCount).end();
     }
-    os << (report.schemes.empty() ? "]" : "\n    ]")
-       << ",\n    \"batch\": {\"simulated\": " << report.batch.simulated
-       << ", \"memory_hits\": " << report.batch.memoryHits
-       << ", \"disk_hits\": " << report.batch.diskHits
-       << ", \"replayed_runs\": " << report.batch.replayedRuns
-       << "}\n  }";
+    w.end().key("batch").beginObject(json::kSpaced);
+    w.field("simulated", report.batch.simulated);
+    w.field("memory_hits", report.batch.memoryHits);
+    w.field("disk_hits", report.batch.diskHits);
+    w.field("replayed_runs", report.batch.replayedRuns).end().end();
     if (sensitivity) {
-        os << ",\n  \"sensitivity\": ";
-        writeSensitivityJson(os, *sensitivity, "  ");
+        w.key("sensitivity");
+        writeSensitivityJson(w, *sensitivity);
     }
-    os << "\n}\n";
+    w.end();
+    os << "\n";
 }
 
 } // namespace cwsp::obs

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <functional>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace cwsp {
@@ -194,15 +195,16 @@ StatsRegistry::dump(std::ostream &os) const
 
 namespace {
 
-/** Tree node of the hierarchical export: a leaf value or children. */
+/** Tree node of the hierarchical export: a leaf writer or children. */
 struct JsonNode
 {
-    std::string value; ///< pre-rendered JSON; empty = no leaf value
+    std::function<void(json::Writer &)> leaf; ///< empty = no leaf
     std::map<std::string, JsonNode> children;
 };
 
 void
-insertNode(JsonNode &root, const std::string &name, std::string value)
+insertNode(JsonNode &root, const std::string &name,
+           std::function<void(json::Writer &)> leaf)
 {
     JsonNode *node = &root;
     std::size_t pos = 0;
@@ -218,65 +220,47 @@ insertNode(JsonNode &root, const std::string &name, std::string value)
     if (!node->children.empty()) {
         // "a.b" exists and now "a.b.c" made it an interior node (or
         // vice versa): keep the scalar under "self".
-        node->children["self"].value = std::move(value);
+        node->children["self"].leaf = std::move(leaf);
     } else {
-        node->value = std::move(value);
+        node->leaf = std::move(leaf);
     }
 }
 
 void
-renderNode(std::ostream &os, const JsonNode &node)
+writeNode(json::Writer &w, const JsonNode &node)
 {
     if (node.children.empty()) {
-        os << (node.value.empty() ? "null" : node.value);
+        node.leaf(w); // every childless node holds a statistic
         return;
     }
-    os << "{";
-    bool first = true;
-    if (!node.value.empty()) {
-        os << "\"self\":" << node.value;
-        first = false;
+    w.beginObject();
+    if (node.leaf) {
+        w.key("self");
+        node.leaf(w);
     }
     for (const auto &[key, child] : node.children) {
-        os << (first ? "" : ",") << "\"" << key << "\":";
-        first = false;
-        renderNode(os, child);
+        w.key(key);
+        writeNode(w, child);
     }
-    os << "}";
+    w.end();
 }
 
-std::string
-jsonDouble(double v)
+void
+writeHistogram(json::Writer &w, const Histogram &h)
 {
-    if (!std::isfinite(v))
-        return "null";
-    std::ostringstream ss;
-    ss.precision(12);
-    ss << v;
-    return ss.str();
-}
-
-std::string
-renderHistogram(const Histogram &h)
-{
-    std::ostringstream ss;
-    ss << "{\"count\":" << h.count()
-       << ",\"mean\":" << jsonDouble(h.mean())
-       << ",\"p50\":" << h.percentile(0.50)
-       << ",\"p95\":" << h.percentile(0.95)
-       << ",\"p99\":" << h.percentile(0.99)
-       << ",\"max\":" << h.maxSample()
-       << ",\"overflow\":" << h.overflow()
-       << ",\"bucket_width\":" << h.bucketWidth() << ",\"buckets\":[";
+    w.beginObject().field("count", h.count()).field("mean", h.mean());
+    w.field("p50", h.percentile(0.50)).field("p95", h.percentile(0.95));
+    w.field("p99", h.percentile(0.99)).field("max", h.maxSample());
+    w.field("overflow", h.overflow());
+    w.field("bucket_width", h.bucketWidth()).key("buckets").beginArray();
     // Trailing zero buckets carry no information; trim them.
     const auto &b = h.buckets();
     std::size_t last = b.size();
     while (last > 0 && b[last - 1] == 0)
         --last;
     for (std::size_t i = 0; i < last; ++i)
-        ss << (i == 0 ? "" : ",") << b[i];
-    ss << "]}";
-    return ss.str();
+        w.value(b[i]);
+    w.end().end();
 }
 
 } // namespace
@@ -284,24 +268,34 @@ renderHistogram(const Histogram &h)
 void
 StatsRegistry::exportJson(std::ostream &os) const
 {
+    json::Writer w(os);
+    w.beginObject();
+    exportJsonMembers(w);
+    w.end();
+}
+
+void
+StatsRegistry::exportJsonMembers(json::Writer &w) const
+{
     std::lock_guard<std::mutex> lock(mutex_);
     JsonNode root;
     for (const auto &[name, c] : counters_)
-        insertNode(root, name, std::to_string(c.value()));
+        insertNode(root, name,
+                   [&c](json::Writer &out) { out.value(c.value()); });
     for (const auto &[name, a] : averages_) {
-        std::ostringstream ss;
-        ss << "{\"mean\":" << jsonDouble(a.mean())
-           << ",\"count\":" << a.count()
-           << ",\"sum\":" << jsonDouble(a.sum()) << "}";
-        insertNode(root, name, ss.str());
+        insertNode(root, name, [&a](json::Writer &out) {
+            out.beginObject().field("mean", a.mean());
+            out.field("count", a.count()).field("sum", a.sum()).end();
+        });
     }
-    for (const auto &[name, h] : histograms_)
-        insertNode(root, name, renderHistogram(h));
-    if (root.children.empty()) {
-        os << "{}";
-        return;
+    for (const auto &[name, h] : histograms_) {
+        insertNode(root, name,
+                   [&h](json::Writer &out) { writeHistogram(out, h); });
     }
-    renderNode(os, root);
+    for (const auto &[key, child] : root.children) {
+        w.key(key);
+        writeNode(w, child);
+    }
 }
 
 void

@@ -18,6 +18,10 @@
 
 #include "sim/state_capture.hh"
 
+namespace cwsp::json {
+class Writer;
+}
+
 namespace cwsp {
 
 /** A monotonically increasing scalar statistic. */
@@ -170,6 +174,11 @@ class StatsRegistry
      * that is both a leaf and a prefix keeps its value under "self".
      */
     void exportJson(std::ostream &os) const;
+    /**
+     * The same statistics as members of the object @p w has open, so
+     * a caller can append members of its own before closing it.
+     */
+    void exportJsonMembers(json::Writer &w) const;
 
     /**
      * Fold @p other into this registry: counters and averages add,

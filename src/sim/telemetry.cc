@@ -1,6 +1,6 @@
 #include "sim/telemetry.hh"
 
-#include <ostream>
+#include "sim/json.hh"
 
 namespace cwsp::sim {
 
@@ -87,21 +87,23 @@ CounterSampler::restoreState(StateReader &r)
 }
 
 void
-CounterSampler::exportJson(std::ostream &os) const
+CounterSampler::exportJson(json::Writer &w) const
 {
-    os << "{\"period\": " << period_
-       << ", \"samples\": " << ticks_.size() << ", \"ticks\": [";
-    for (std::size_t i = 0; i < ticks_.size(); ++i)
-        os << (i ? ", " : "") << ticks_[i];
-    os << "], \"tracks\": {";
-    for (std::size_t t = 0; t < tracks_.size(); ++t) {
-        os << (t ? ", " : "") << '"' << tracks_[t].name << "\": [";
-        const auto &vals = tracks_[t].values;
-        for (std::size_t i = 0; i < vals.size(); ++i)
-            os << (i ? ", " : "") << vals[i];
-        os << "]";
+    w.beginObject(json::kSpaced)
+        .field("period", period_)
+        .field("samples", ticks_.size())
+        .key("ticks")
+        .beginArray(json::kSpaced);
+    for (Tick t : ticks_)
+        w.value(t);
+    w.end().key("tracks").beginObject(json::kSpaced);
+    for (const auto &track : tracks_) {
+        w.key(track.name).beginArray(json::kSpaced);
+        for (std::uint64_t v : track.values)
+            w.value(v);
+        w.end();
     }
-    os << "}}";
+    w.end().end();
 }
 
 } // namespace cwsp::sim

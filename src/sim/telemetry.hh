@@ -31,6 +31,10 @@
 #include "sim/state_capture.hh"
 #include "sim/types.hh"
 
+namespace cwsp::json {
+class Writer;
+}
+
 namespace cwsp::sim {
 
 class CounterSampler
@@ -100,7 +104,7 @@ class CounterSampler
      * The `time_series` stats-JSON section:
      * {"period":P,"samples":N,"ticks":[...],"tracks":{name:[...]}}.
      */
-    void exportJson(std::ostream &os) const;
+    void exportJson(json::Writer &w) const;
 
   private:
     void sampleUpTo(Tick now);

@@ -1,8 +1,9 @@
 #include "sim/trace.hh"
 
 #include <algorithm>
-#include <map>
+#include <set>
 
+#include "sim/json.hh"
 #include "sim/telemetry.hh"
 
 namespace cwsp::sim {
@@ -173,25 +174,24 @@ argNames(TraceEventKind kind, const char *&a0, const char *&a1)
 
 /** Args block for kinds whose raw arg slots need decoding. */
 bool
-writeEventArgs(std::ostream &os, const TraceEvent &ev)
+writeEventArgs(json::Writer &w, const TraceEvent &ev)
 {
     switch (ev.kind) {
       case TraceEventKind::WpqAdmit:
-        os << "\"addr\":" << ev.arg0
-           << ",\"bytes\":" << wpqAdmitBytes(ev.arg1)
-           << ",\"logged\":" << (wpqAdmitLogged(ev.arg1) ? 1 : 0);
+        w.field("addr", ev.arg0)
+            .field("bytes", wpqAdmitBytes(ev.arg1))
+            .field("logged", wpqAdmitLogged(ev.arg1) ? 1 : 0);
         return true;
       case TraceEventKind::SchemeDrain:
-        os << "\"stores\":" << ev.arg0 << ",\"cause\":\""
-           << stallCauseName(static_cast<StallCause>(ev.arg1))
-           << "\"";
+        w.field("stores", ev.arg0)
+            .field("cause",
+                   stallCauseName(static_cast<StallCause>(ev.arg1)));
         return true;
       case TraceEventKind::PbStall:
       case TraceEventKind::RbtStall:
       case TraceEventKind::WpqFull:
-        os << "\"cause\":\""
-           << stallCauseName(static_cast<StallCause>(ev.arg0))
-           << "\"";
+        w.field("cause",
+                stallCauseName(static_cast<StallCause>(ev.arg0)));
         return true;
       default:
         return false;
@@ -264,65 +264,59 @@ TraceBuffer::exportChromeJson(std::ostream &os,
                          return a.tick < b.tick;
                      });
 
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    bool first = true;
+    json::Writer w(os);
+    w.beginObject().field("displayTimeUnit", "ns").key("traceEvents");
+    w.beginArray();
 
     // Process + per-lane metadata. thread_sort_index mirrors the
     // lane number, so Perfetto shows cores (0..) above MCs (256..)
     // instead of in first-event order.
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-          "\"args\":{\"name\":\"cwsp sim\"}},"
-          "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":0,"
-          "\"args\":{\"sort_index\":0}}";
-    first = false;
-    std::map<std::uint16_t, bool> lanes;
+    auto meta = [&w](const char *name, const std::uint16_t *tid,
+                     const char *arg, const auto &value) {
+        w.beginObject().field("name", name).field("ph", "M");
+        w.field("pid", 0);
+        if (tid)
+            w.field("tid", *tid);
+        w.key("args").beginObject().field(arg, value).end().end();
+    };
+    meta("process_name", nullptr, "name", "cwsp sim");
+    meta("process_sort_index", nullptr, "sort_index", 0);
+    std::set<std::uint16_t> lanes;
     for (const auto &ev : events)
-        lanes[ev.lane] = true;
+        lanes.insert(ev.lane);
     if (sampler) {
         for (std::size_t t = 0; t < sampler->trackCount(); ++t)
-            lanes[sampler->track(t).lane] = true;
+            lanes.insert(sampler->track(t).lane);
     }
-    for (const auto &[lane, unused] : lanes) {
-        (void)unused;
-        os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-              "\"tid\":"
-           << lane << ",\"args\":{\"name\":\"";
-        if (lane >= kMcLaneBase)
-            os << "mc" << (lane - kMcLaneBase);
-        else
-            os << "core" << lane;
-        os << "\"}},"
-              "{\"name\":\"thread_sort_index\",\"ph\":\"M\","
-              "\"pid\":0,\"tid\":"
-           << lane << ",\"args\":{\"sort_index\":" << lane << "}}";
+    for (const std::uint16_t &lane : lanes) {
+        meta("thread_name", &lane, "name",
+             lane >= kMcLaneBase
+                 ? "mc" + std::to_string(lane - kMcLaneBase)
+                 : "core" + std::to_string(lane));
+        meta("thread_sort_index", &lane, "sort_index", lane);
     }
 
     Tick last_tick = 0;
     for (const auto &ev : events) {
         last_tick = std::max(last_tick, ev.tick);
-        os << (first ? "" : ",");
-        first = false;
-        os << "{\"name\":\"" << traceKindName(ev.kind)
-           << "\",\"cat\":\""
-           << traceCategoryName(traceKindCategory(ev.kind))
-           << "\",\"pid\":0,\"tid\":" << ev.lane
-           << ",\"ts\":" << ev.tick;
+        w.beginObject().field("name", traceKindName(ev.kind));
+        w.field("cat", traceCategoryName(traceKindCategory(ev.kind)));
+        w.field("pid", 0).field("tid", ev.lane).field("ts", ev.tick);
         if (ev.duration > 0)
-            os << ",\"ph\":\"X\",\"dur\":" << ev.duration;
+            w.field("ph", "X").field("dur", ev.duration);
         else
-            os << ",\"ph\":\"i\",\"s\":\"t\"";
-        os << ",\"args\":{";
-        if (!writeEventArgs(os, ev)) {
+            w.field("ph", "i").field("s", "t");
+        w.key("args").beginObject();
+        if (!writeEventArgs(w, ev)) {
             const char *a0 = nullptr;
             const char *a1 = nullptr;
             argNames(ev.kind, a0, a1);
             if (a0)
-                os << "\"" << a0 << "\":" << ev.arg0;
+                w.field(a0, ev.arg0);
             if (a1)
-                os << (a0 ? "," : "") << "\"" << a1
-                   << "\":" << ev.arg1;
+                w.field(a1, ev.arg1);
         }
-        os << "}}";
+        w.end().end();
     }
 
     // Sampled time series as Perfetto counter tracks: one "ph":"C"
@@ -335,27 +329,23 @@ TraceBuffer::exportChromeJson(std::ostream &os,
         for (std::size_t t = 0; t < sampler->trackCount(); ++t) {
             const auto &track = sampler->track(t);
             for (std::size_t i = 0; i < ticks.size(); ++i) {
-                os << (first ? "" : ",");
-                first = false;
-                os << "{\"name\":\"" << track.name
-                   << "\",\"cat\":\"telemetry\",\"ph\":\"C\","
-                      "\"pid\":0,\"tid\":"
-                   << track.lane << ",\"ts\":" << ticks[i]
-                   << ",\"args\":{\"value\":" << track.values[i]
-                   << "}}";
+                w.beginObject().field("name", track.name);
+                w.field("cat", "telemetry").field("ph", "C");
+                w.field("pid", 0).field("tid", track.lane);
+                w.field("ts", ticks[i]).key("args").beginObject();
+                w.field("value", track.values[i]).end().end();
             }
         }
     }
 
     // Trailing counter track makes ring truncation visible in the
     // Perfetto UI itself, not just in otherData/stderr.
-    os << (first ? "" : ",");
-    os << "{\"name\":\"trace_drops\",\"ph\":\"C\",\"pid\":0,"
-          "\"tid\":0,\"ts\":"
-       << last_tick << ",\"args\":{\"dropped\":" << dropped()
-       << "}}";
-    os << "],\"otherData\":{\"recorded\":" << recorded()
-       << ",\"dropped\":" << dropped() << "}}";
+    w.beginObject().field("name", "trace_drops").field("ph", "C");
+    w.field("pid", 0).field("tid", 0).field("ts", last_tick);
+    w.key("args").beginObject().field("dropped", dropped()).end();
+    w.end().end().key("otherData").beginObject();
+    w.field("recorded", recorded()).field("dropped", dropped());
+    w.end().end();
 }
 
 } // namespace cwsp::sim

@@ -6,7 +6,9 @@
  * the what-if + sensitivity report, the recovery Pareto report built
  * from the campaign, and a create-then-append trajectory. Each is
  * generated from a small deterministic run and compared with its
- * file under tests/golden/.
+ * file under tests/golden/. The rest covers the JSON layer itself:
+ * the writer's escaping, the reader's grammar, depth cap and \u
+ * decoding, and a seeded mutation loop over the goldens.
  *
  * Regenerate the goldens (only when an output change is intended):
  *   CWSP_UPDATE_GOLDEN=1 build/tests/test_json
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -29,6 +32,7 @@
 #include "obs/recovery_report.hh"
 #include "obs/sensitivity.hh"
 #include "obs/whatif_profiler.hh"
+#include "sim/json.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace.hh"
 #include "workloads/workload.hh"
@@ -291,4 +295,149 @@ TEST(JsonGolden, FlattenedCampaignMetrics)
          obs::flattenMetricsJson(fftCampaignJson()))
         os << metric << " " << value << "\n";
     expectGolden("campaign_fft_flat.txt", os.str());
+}
+
+// ---------------------------------------------------------------
+// The writer and the streaming reader
+// ---------------------------------------------------------------
+
+TEST(JsonWriter, EscapesControlCharactersAsUnicode)
+{
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginArray().value(std::string("a\x01" "b\r\"\\\x1f", 7));
+    w.value(std::numeric_limits<double>::infinity()).end();
+    EXPECT_EQ(os.str(), "[\"a\\u0001b\\r\\\"\\\\\\u001f\",null]");
+
+    const std::string text = os.str();
+    json::Reader r(text);
+    ASSERT_EQ(r.next(), json::Token::ArrayBegin);
+    ASSERT_EQ(r.next(), json::Token::String);
+    EXPECT_EQ(r.text(), std::string("a\x01" "b\r\"\\\x1f", 7));
+    EXPECT_EQ(r.next(), json::Token::Null);
+    EXPECT_EQ(r.next(), json::Token::ArrayEnd);
+    EXPECT_EQ(r.next(), json::Token::End);
+}
+
+TEST(JsonReader, DecodesUnicodeEscapesToUtf8)
+{
+    json::Reader r(R"(["\u0041\u00e9\u20AC", "\ud83d\ude00", "\udc00"])");
+    ASSERT_EQ(r.next(), json::Token::ArrayBegin);
+    ASSERT_EQ(r.next(), json::Token::String);
+    EXPECT_EQ(r.text(), "A\xc3\xa9\xe2\x82\xac");
+    // Surrogates, paired or lone, decode as U+FFFD.
+    ASSERT_EQ(r.next(), json::Token::String);
+    EXPECT_EQ(r.text(), "\xef\xbf\xbd\xef\xbf\xbd");
+    ASSERT_EQ(r.next(), json::Token::String);
+    EXPECT_EQ(r.text(), "\xef\xbf\xbd");
+}
+
+TEST(JsonReader, EnforcesTheNumberGrammar)
+{
+    for (const char *bad : {"-", "1.2.3", "1e", "01", "+1", "1.", ".5",
+                            "-01", "1e+", "0x10", "--1", "1e5.0"}) {
+        EXPECT_THROW(obs::flattenMetricsJson(bad), std::runtime_error)
+            << bad;
+        EXPECT_THROW(obs::flattenMetricsJson(std::string("{\"a\": ") +
+                                             bad + "}"),
+                     std::runtime_error)
+            << bad;
+    }
+    const std::pair<const char *, double> good[] = {
+        {"0", 0.0},       {"-0", 0.0},    {"12", 12.0},
+        {"-1.5e-3", -1.5e-3}, {"1E+2", 100.0}, {"2.50", 2.5}};
+    for (const auto &[text, value] : good)
+        EXPECT_EQ(obs::flattenMetricsJson(text).at(""), value) << text;
+}
+
+TEST(JsonReader, DeepNestingThrowsInsteadOfOverflowingTheStack)
+{
+    std::string objects;
+    for (int i = 0; i < 200000; ++i)
+        objects += "{\"a\":";
+    for (const std::string &deep :
+         {std::string(200000, '['), objects}) {
+        EXPECT_THROW(obs::flattenMetricsJson(deep), std::runtime_error);
+        obs::TraceValidation v;
+        std::string error;
+        EXPECT_FALSE(obs::validateChromeTrace(deep, v, error));
+        EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+        obs::RecoveryReport report;
+        EXPECT_FALSE(obs::buildRecoveryReport(deep, report, error));
+    }
+    // The cap itself: kMaxDepth levels parse, one more does not.
+    const std::size_t cap = json::Reader::kMaxDepth;
+    EXPECT_NO_THROW(obs::flattenMetricsJson(std::string(cap, '[') +
+                                            std::string(cap, ']')));
+    EXPECT_THROW(obs::flattenMetricsJson(std::string(cap + 1, '[') +
+                                         std::string(cap + 1, ']')),
+                 std::runtime_error);
+}
+
+TEST(JsonReader, ValidatorReadsTheDropLedger)
+{
+    obs::TraceValidation v;
+    std::string error;
+    ASSERT_TRUE(obs::validateChromeTrace(
+        readFile(std::filesystem::path(CWSP_GOLDEN_DIR) /
+                 "trace_tiny_cwsp.json"),
+        v, error))
+        << error;
+    EXPECT_TRUE(v.ok());
+    EXPECT_EQ(v.dropped, 1265.0);
+    EXPECT_GT(v.counterTracks, 0u);
+}
+
+// Seeded mutation loop over the pinned artefacts: byte flips,
+// truncations and duplicated brackets. Every mutant must parse or
+// throw std::runtime_error (any other exception, or a crash, fails);
+// the validator must report, not throw.
+TEST(JsonReader, MutatedArtefactsParseOrThrow)
+{
+    std::vector<std::string> corpus;
+    for (const char *name :
+         {"stats_fft_cwsp.json", "campaign_fft.json",
+          "recovery_report.json", "whatif_tiny.json",
+          "trajectory_appended.json", "trace_tiny_cwsp.json"}) {
+        std::string text =
+            readFile(std::filesystem::path(CWSP_GOLDEN_DIR) / name);
+        ASSERT_NO_THROW(obs::flattenMetricsJson(text)) << name;
+        corpus.push_back(std::move(text));
+    }
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    auto rnd = [&state](std::size_t n) {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return static_cast<std::size_t>(state % n);
+    };
+    const char kBytes[] = "{}[],:\"\\-+.eE0123456789 tfnu\x01\xff";
+    std::size_t parsed = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string m = corpus[rnd(corpus.size())];
+        switch (rnd(3)) {
+          case 0:
+            for (int k = 0; k < 3; ++k)
+                m[rnd(m.size())] = kBytes[rnd(sizeof kBytes - 1)];
+            break;
+          case 1:
+            m.resize(rnd(m.size()));
+            break;
+          default: {
+            const std::size_t at = rnd(m.size());
+            m.insert(at, std::string(1 + rnd(8), "{}[]"[rnd(4)]));
+          }
+        }
+        try {
+            obs::flattenMetricsJson(m);
+            ++parsed;
+        } catch (const std::runtime_error &) {
+            ++rejected;
+        }
+        obs::TraceValidation v;
+        std::string error;
+        obs::validateChromeTrace(m, v, error);
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
 }

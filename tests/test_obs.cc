@@ -504,11 +504,19 @@ TEST(BaselineDiff, MalformedJsonThrows)
                  std::runtime_error);
 }
 
+obs::DiffResult
+diffJson(const std::string &before, const std::string &after,
+         const obs::DiffOptions &options = {})
+{
+    return obs::diffMetrics(obs::flattenMetricsJson(before),
+                            obs::flattenMetricsJson(after), options);
+}
+
 TEST(BaselineDiff, SplitsRegressionsFromImprovements)
 {
     obs::DiffOptions options;
     options.threshold = 0.05;
-    auto result = obs::diffMetrics(
+    auto result = diffJson(
         R"({"cycles":1000,"stalls":100,"hits":50})",
         R"({"cycles":1200,"stalls":90,"hits":51})", options);
     ASSERT_EQ(result.regressions.size(), 1u);
@@ -525,7 +533,7 @@ TEST(BaselineDiff, IgnoreListAndThresholdAreHonored)
 {
     obs::DiffOptions options;
     options.threshold = 0.5;
-    auto result = obs::diffMetrics(
+    auto result = diffJson(
         R"({"cycles":100,"real_time":10})",
         R"({"cycles":140,"real_time":90})", options);
     // real_time is ignored by default; cycles moved 40% < 50%.
@@ -534,9 +542,35 @@ TEST(BaselineDiff, IgnoreListAndThresholdAreHonored)
     EXPECT_FALSE(result.hasRegressions());
 }
 
+// Two bench_all.sh summaries of one simulator differ in the
+// bench_simspeed host timings from run to run; by default the differ
+// ignores them (and google-benchmark's adaptive iteration count), so
+// only simulated metrics can flag a change.
+TEST(BaselineDiff, IgnoresHostTimingsByDefault)
+{
+    auto summary = [](double sims, double ns, int iters) {
+        return "{\"binaries\": [{\"name\": \"bench_simspeed\", "
+               "\"benchmarks\": [{\"name\": \"simspeed/aggregate\", "
+               "\"sims_per_sec\": " + std::to_string(sims) +
+               ", \"ns_per_instr\": " + std::to_string(ns) +
+               ", \"iterations\": " + std::to_string(iters) +
+               ", \"cycles\": 1000}, {\"name\": \"fig/x/iterations:1\", "
+               "\"slowdown\": 1.25}]}]}";
+    };
+    auto result = diffJson(summary(130, 41, 3), summary(95, 60, 2));
+    EXPECT_TRUE(result.regressions.empty());
+    EXPECT_TRUE(result.improvements.empty());
+    EXPECT_TRUE(result.onlyBefore.empty());
+    EXPECT_TRUE(result.onlyAfter.empty());
+    EXPECT_EQ(result.ignored, 3u);
+    // A benchmark named ".../iterations:1" keeps its simulated
+    // metrics: cycles and slowdown are still compared.
+    EXPECT_EQ(result.compared, 2u);
+}
+
 TEST(BaselineDiff, ZeroToNonzeroIsAnInfiniteRegression)
 {
-    auto result = obs::diffMetrics(R"({"drops":0})",
+    auto result = diffJson(R"({"drops":0})",
                                    R"({"drops":5})");
     ASSERT_EQ(result.regressions.size(), 1u);
     EXPECT_FALSE(std::isfinite(result.regressions[0].ratio));
@@ -544,7 +578,7 @@ TEST(BaselineDiff, ZeroToNonzeroIsAnInfiniteRegression)
 
 TEST(BaselineDiff, TracksAppearingAndDisappearingMetrics)
 {
-    auto result = obs::diffMetrics(R"({"old_only":1,"kept":2})",
+    auto result = diffJson(R"({"old_only":1,"kept":2})",
                                    R"({"kept":2,"new_only":3})");
     ASSERT_EQ(result.onlyBefore.size(), 1u);
     EXPECT_EQ(result.onlyBefore[0], "old_only");

@@ -28,6 +28,7 @@
 #include "core/sim_checkpoint.hh"
 #include "core/whole_system_sim.hh"
 #include "fault/fault_model.hh"
+#include "sim/json.hh"
 #include "sim/state_capture.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace.hh"
@@ -146,7 +147,8 @@ TEST(Telemetry, ExportJsonShape)
     s.maybeSample(20);
 
     std::ostringstream os;
-    s.exportJson(os);
+    json::Writer w(os);
+    s.exportJson(w);
     EXPECT_EQ(os.str(),
               "{\"period\": 10, \"samples\": 3, "
               "\"ticks\": [0, 10, 20], "

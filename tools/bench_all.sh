@@ -92,12 +92,13 @@ fi
 # Lives in a subdirectory so the aggregation glob doesn't scoop it
 # up as a bench binary.
 whatif=
-if [ -x "$BUILD_DIR/tools/cwsp_whatif" ]; then
+if [ -x "$BUILD_DIR/tools/cwsp_analyze" ]; then
     mkdir -p "$tmp/whatif"
     whatif=$tmp/whatif/report.json
-    echo ">> cwsp_whatif (jobs=$JOBS)" >&2
-    "$BUILD_DIR"/tools/cwsp_whatif --scheme all --app fft,bzip2 \
-        --jobs "$JOBS" --json "$whatif" > /dev/null ||
+    echo ">> cwsp_analyze --whatif (jobs=$JOBS)" >&2
+    "$BUILD_DIR"/tools/cwsp_analyze --whatif --scheme all \
+        --app fft,bzip2 --jobs "$JOBS" --report-json "$whatif" \
+        > /dev/null ||
         { echo "bench_all: what-if profile failed" >&2; whatif=; }
 fi
 

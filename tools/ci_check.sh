@@ -45,13 +45,18 @@ for san in "${SANITIZERS[@]}"; do
               -DCWSP_SANITIZE=thread
         echo "== thread: build (multi-threaded surfaces) =="
         cmake --build "$dir" -j "$JOBS" --target test_batch_runner \
-              test_fault_campaign test_durable_lin cwsp_faultcampaign
-        echo "== thread: batch, campaign and durable-lin tests =="
+              test_fault_campaign test_durable_lin test_json \
+              cwsp_faultcampaign cwsp_analyze
+        echo "== thread: batch, campaign, durable-lin and JSON tests =="
         # These tests run BatchRunner pools, the shared stream and
-        # checkpoint caches, and campaign workers with jobs > 1.
-        for t in test_batch_runner test_fault_campaign test_durable_lin; do
+        # checkpoint caches, and campaign workers with jobs > 1; the
+        # JSON goldens run campaigns and batches of their own.
+        for t in test_batch_runner test_fault_campaign test_durable_lin \
+                 test_json; do
             "$dir"/tests/$t
         done
+        echo "== thread: cwsp_analyze exit codes =="
+        bash tests/analyze_exit_codes.sh "$dir"/tools/cwsp_analyze
         echo "== thread: forked + concurrent campaign smokes (jobs 4) =="
         "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
               --points 1 --fork --jobs 4 --quiet
@@ -66,6 +71,8 @@ for san in "${SANITIZERS[@]}"; do
     echo "== $san: build =="
     cmake --build "$dir" -j "$JOBS"
     echo "== $san: ctest =="
+    # Includes test_json (artefact goldens, hostile-input and mutation
+    # checks on the JSON reader) and analyze_exit_codes.
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
     echo "== $san: replay-equivalence smoke =="
     # The full ctest pass above already runs test_replay_equiv; this
@@ -134,19 +141,9 @@ for san in "${SANITIZERS[@]}"; do
     # rather than replaying cached numbers. The tool exits nonzero if
     # any waterfall fails to reconcile bit-exactly; cross-check
     # disagreements are report warnings, not failures.
-    "$dir"/tools/cwsp_whatif --scheme all --app fft \
+    "$dir"/tools/cwsp_analyze --whatif --scheme all --app fft \
           --no-sensitivity --no-result-cache --jobs "$JOBS" \
           > /dev/null
-    echo "== $san: analyze --diff rejects junk input =="
-    # The differ must fail loudly (exit 2) on a metrics-free document
-    # instead of printing an empty report and exiting 0.
-    echo '{}' > "$dir"/empty_metrics.json
-    if "$dir"/tools/cwsp_analyze --diff "$dir"/empty_metrics.json \
-          "$dir"/empty_metrics.json > /dev/null 2>&1; then
-        echo "ci_check: --diff accepted a metrics-free document" >&2
-        exit 1
-    fi
-    rm -f "$dir"/empty_metrics.json
     echo "== $san: telemetry smoke (every scheme) =="
     # One sampled + traced run per scheme: attaches the counter
     # sampler at the config-derived cadence, exports the Chrome

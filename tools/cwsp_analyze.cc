@@ -13,9 +13,11 @@
  *   cwsp_analyze --diff OLD.json NEW.json [--threshold 0.05]
  *       baseline differ over two stats/BENCH_summary JSON files;
  *       exit 1 when a metric regressed beyond the threshold
- *   cwsp_analyze --whatif [--scheme all --app fft]
+ *   cwsp_analyze --whatif [--scheme all --app fft,bzip2]
  *       counterfactual per-resource overhead waterfalls with the
- *       stall-attribution cross-check (obs/whatif_profiler.hh)
+ *       stall-attribution cross-check and the knob-sensitivity
+ *       ranking (obs/whatif_profiler.hh); every point runs through
+ *       the result-cached BatchRunner
  *
  * Span/attribution modes run each (scheme, app) point directly with
  * a full-mask TraceBuffer attached; --crash FRAC additionally
@@ -29,7 +31,6 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "obs/span_builder.hh"
 #include "obs/stall_attribution.hh"
 #include "obs/whatif_profiler.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 #include "workloads/workload.hh"
@@ -84,13 +86,17 @@ usage()
         " (creates it)\n"
         "selection (run modes):\n"
         "  --scheme NAME|all      scheme(s) to run (default cwsp)\n"
-        "  --app NAME|all         app(s) to run (default fft)\n"
+        "  --app NAME[,NAME]|all  app(s) to run (default fft)\n"
         "  --suite NAME           all apps of one suite\n"
         "  --crash FRAC           also crash at FRAC of run length and"
         " check recovery\n"
         "  --trace-cap N          trace ring capacity (default 2^20)\n"
         "  --jobs N               worker threads for batch"
-        " --check-invariants\n"
+        " --check-invariants/--whatif\n"
+        "what-if options:\n"
+        "  --no-sensitivity       skip the knob-sensitivity pass\n"
+        "  --no-result-cache      bypass the persistent result"
+        " cache\n"
         "diff options:\n"
         "  --threshold F          relative change flagged (default"
         " 0.05)\n"
@@ -111,9 +117,10 @@ resolveSchemes(const std::string &spec)
         return all;
     if (std::find(all.begin(), all.end(), spec) != all.end())
         return {spec};
-    cwsp_fatal("unknown scheme '", spec,
-               "'; valid: baseline, cwsp, capri, ido, replaycache, "
-               "psp, all");
+    std::string names;
+    for (const auto &s : all)
+        names += s + ", ";
+    cwsp_fatal("unknown scheme '", spec, "'; valid: ", names, "all");
     return {};
 }
 
@@ -132,7 +139,15 @@ resolveApps(const std::string &app_spec, const std::string &suite)
     }
     if (app_spec == "all")
         return workloads::appTable();
-    return {workloads::appByName(app_spec)};
+    std::vector<workloads::AppProfile> apps;
+    std::istringstream names(app_spec);
+    for (std::string name; std::getline(names, name, ',');) {
+        if (!name.empty())
+            apps.push_back(workloads::appByName(name));
+    }
+    if (apps.empty())
+        cwsp_fatal("no apps selected");
+    return apps;
 }
 
 struct RunOptions
@@ -251,20 +266,10 @@ slurpFile(const std::string &path, std::string &out,
     return true;
 }
 
-/**
- * Print telemetry health warnings (trace-ring drops, checkpoint-
- * cache fallbacks) found in @p json to stderr. Best-effort: parse
- * failures are silent (the caller already validated the document).
- */
+/** Telemetry health warnings (trace drops, fork fallbacks). */
 void
-printTelemetryWarnings(const std::string &json)
+printTelemetryWarnings(const obs::MetricMap &metrics)
 {
-    std::map<std::string, double> metrics;
-    try {
-        metrics = obs::flattenMetricsJson(json);
-    } catch (const std::exception &) {
-        return;
-    }
     for (const auto &w : obs::telemetryWarnings(metrics))
         std::fprintf(stderr, "warning: %s\n", w.c_str());
 }
@@ -273,12 +278,13 @@ int
 runDiff(const std::string &before, const std::string &after,
         const obs::DiffOptions &options)
 {
-    // Validate each input up front: a missing file, malformed JSON,
-    // or a document with no numeric metrics at all (the wrong file,
-    // or a truncated write) must fail loudly with the offending path
-    // named — not print an empty "compared 0 metrics" report and
-    // exit 0.
-    for (const std::string &path : {before, after}) {
+    // A missing file, malformed JSON, or a document with no numeric
+    // metrics at all (the wrong file, or a truncated write) must fail
+    // loudly with the offending path named — not print an empty
+    // "compared 0 metrics" report and exit 0.
+    obs::MetricMap metrics[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string &path = i ? after : before;
         std::string json;
         std::string error;
         if (!slurpFile(path, json, error)) {
@@ -286,9 +292,8 @@ runDiff(const std::string &before, const std::string &after,
                          error.c_str());
             return 2;
         }
-        std::map<std::string, double> metrics;
         try {
-            metrics = obs::flattenMetricsJson(json);
+            metrics[i] = obs::flattenMetricsJson(json);
         } catch (const std::exception &ex) {
             std::fprintf(stderr,
                          "cwsp_analyze --diff: %s: not a valid "
@@ -296,7 +301,7 @@ runDiff(const std::string &before, const std::string &after,
                          path.c_str(), ex.what());
             return 2;
         }
-        if (metrics.empty()) {
+        if (metrics[i].empty()) {
             std::fprintf(stderr,
                          "cwsp_analyze --diff: %s: no numeric "
                          "metrics found (is this a stats/"
@@ -305,21 +310,12 @@ runDiff(const std::string &before, const std::string &after,
             return 2;
         }
     }
-
-    obs::DiffResult result;
-    std::string error;
-    if (!obs::diffMetricFiles(before, after, options, result,
-                              error)) {
-        std::fprintf(stderr, "cwsp_analyze --diff: %s\n",
-                     error.c_str());
-        return 2;
-    }
+    obs::DiffResult result =
+        obs::diffMetrics(metrics[0], metrics[1], options);
     obs::printDiffReport(std::cout, result, options);
     // Telemetry health of the *current* file: truncated traces or a
     // degraded checkpoint cache make the comparison itself suspect.
-    std::string after_json;
-    if (slurpFile(after, after_json, error))
-        printTelemetryWarnings(after_json);
+    printTelemetryWarnings(metrics[1]);
     return result.hasRegressions() ? 1 : 0;
 }
 
@@ -342,20 +338,13 @@ runRecoveryReport(const std::string &campaign_path,
         return 2;
     }
     obs::writeRecoveryReportMarkdown(std::cout, report);
-    if (!report_json_path.empty()) {
-        if (report_json_path == "-") {
-            obs::writeRecoveryReportJson(std::cout, report);
-        } else {
-            std::ofstream os(report_json_path);
-            if (!os) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             report_json_path.c_str());
-                return 2;
-            }
+    if (!report_json_path.empty() &&
+        !json::writeFile(report_json_path, [&](std::ostream &os) {
             obs::writeRecoveryReportJson(os, report);
-        }
-    }
-    printTelemetryWarnings(json);
+        }))
+        return 2;
+    // buildRecoveryReport parsed the document, so this cannot throw.
+    printTelemetryWarnings(obs::flattenMetricsJson(json));
     return 0;
 }
 
@@ -383,21 +372,12 @@ runValidateTrace(const std::string &path)
     // The export's otherData block carries the ring's drop ledger;
     // a nonzero count means the trace window is truncated and the
     // counter series may start mid-run.
-    std::size_t od = json.find("\"otherData\"");
-    if (od != std::string::npos) {
-        std::size_t d = json.find("\"dropped\":", od);
-        if (d != std::string::npos) {
-            long long drops =
-                std::atoll(json.c_str() + d + 10);
-            if (drops > 0)
-                std::fprintf(
-                    stderr,
-                    "warning: trace ring truncated: trace_drops = "
-                    "%lld (events lost; raise the trace capacity "
-                    "or narrow the category mask)\n",
-                    drops);
-        }
-    }
+    if (v.dropped > 0)
+        std::fprintf(stderr,
+                     "warning: trace ring truncated: trace_drops = "
+                     "%.0f (events lost; raise the trace capacity or "
+                     "narrow the category mask)\n",
+                     v.dropped);
     for (const auto &e : v.errors)
         std::fprintf(stderr, "error: %s\n", e.c_str());
     return v.ok() ? 0 : 1;
@@ -407,20 +387,23 @@ runValidateTrace(const std::string &path)
 int
 runWhatIfMode(const std::vector<std::string> &schemes,
               const std::vector<workloads::AppProfile> &apps,
-              unsigned jobs, std::uint64_t trace_cap,
-              const std::string &report_json_path)
+              const driver::BatchConfig &bc, std::uint64_t trace_cap,
+              bool sensitivity, const std::string &report_json_path)
 {
-    driver::BatchConfig bc;
-    bc.jobs = jobs;
     driver::BatchRunner runner(bc);
     obs::WhatIfOptions opt;
     opt.traceCap = trace_cap;
     obs::WhatIfReport report =
         obs::runWhatIf(runner, schemes, apps, opt);
-    obs::SensitivityOptions so;
-    auto sens = obs::runSensitivity(runner, schemes, apps, so);
-    report.batch = runner.stats();
+    std::vector<obs::SensitivityReport> sens;
+    if (sensitivity) {
+        sens = obs::runSensitivity(runner, schemes, apps, {});
+        report.batch = runner.stats();
+    }
+    const auto *sens_ptr = sensitivity ? &sens : nullptr;
 
+    // Reconciliation is structural; a failure here means the report
+    // assembly itself is broken, not the simulated numbers.
     for (const auto &e : report.entries) {
         if (!e.reconciles()) {
             std::fprintf(stderr,
@@ -431,20 +414,12 @@ runWhatIfMode(const std::vector<std::string> &schemes,
         }
     }
 
-    obs::writeWhatIfMarkdown(std::cout, report, &sens);
-    if (!report_json_path.empty()) {
-        if (report_json_path == "-") {
-            obs::writeWhatIfJson(std::cout, report, &sens);
-        } else {
-            std::ofstream os(report_json_path);
-            if (!os) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             report_json_path.c_str());
-                return 2;
-            }
-            obs::writeWhatIfJson(os, report, &sens);
-        }
-    }
+    obs::writeWhatIfMarkdown(std::cout, report, sens_ptr);
+    if (!report_json_path.empty() &&
+        !json::writeFile(report_json_path, [&](std::ostream &os) {
+            obs::writeWhatIfJson(os, report, sens_ptr);
+        }))
+        return 2;
     return 0;
 }
 
@@ -481,7 +456,8 @@ runMain(int argc, char **argv)
     bool whatif = false;
     bool traj = false;
     bool traj_keep_cleared = false;
-    unsigned jobs = 0;
+    bool sensitivity = true;
+    driver::BatchConfig bc;
     obs::DiffOptions diff_options;
     obs::TrajectoryOptions traj_options;
 
@@ -506,6 +482,10 @@ runMain(int argc, char **argv)
             diff_after = next();
         } else if (a == "--whatif") {
             whatif = true;
+        } else if (a == "--no-sensitivity") {
+            sensitivity = false;
+        } else if (a == "--no-result-cache") {
+            bc.useDiskCache = false;
         } else if (a == "--recovery-report") {
             recovery_path = next();
         } else if (a == "--report-json") {
@@ -537,7 +517,7 @@ runMain(int argc, char **argv)
         else if (a == "--trace-cap")
             opt.traceCap = std::strtoull(next(), nullptr, 0);
         else if (a == "--jobs")
-            jobs = static_cast<unsigned>(
+            bc.jobs = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
         else if (a == "--threshold")
             diff_options.threshold = std::strtod(next(), nullptr);
@@ -563,14 +543,14 @@ runMain(int argc, char **argv)
     auto apps = resolveApps(app_spec, suite);
 
     if (whatif)
-        return runWhatIfMode(schemes, apps, jobs, opt.traceCap,
-                             report_json_path);
+        return runWhatIfMode(schemes, apps, bc, opt.traceCap,
+                             sensitivity, report_json_path);
 
     // Invariant-only smoke goes through the batch engine (parallel,
     // monitor attached per simulation by the runner itself).
     if (opt.checkInvariants && !opt.spans && !opt.attribution &&
         opt.crashFrac < 0.0)
-        return runBatchInvariants(schemes, apps, jobs);
+        return runBatchInvariants(schemes, apps, bc.jobs);
 
     if (!opt.spans && !opt.attribution)
         opt.attribution = true;

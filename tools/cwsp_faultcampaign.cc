@@ -18,13 +18,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/campaign.hh"
+#include "sim/json.hh"
 #include "sim/stats.hh"
 
 using namespace cwsp;
@@ -215,33 +215,18 @@ runMain(int argc, char **argv)
                      f.c.label().c_str(), f.detail.c_str());
     }
 
-    if (!json_path.empty()) {
-        if (json_path == "-") {
-            report.writeJson(std::cout);
-        } else {
-            std::ofstream f(json_path);
-            if (!f) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             json_path.c_str());
-                return 1;
-            }
-            report.writeJson(f);
-        }
-    }
+    if (!json_path.empty() &&
+        !json::writeFile(json_path, [&report](std::ostream &os) {
+            report.writeJson(os);
+        }))
+        return 1;
     if (!stats_json_path.empty()) {
         StatsRegistry reg;
         report.fillStats(reg);
-        if (stats_json_path == "-") {
-            reg.exportJson(std::cout);
-        } else {
-            std::ofstream f(stats_json_path);
-            if (!f) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             stats_json_path.c_str());
-                return 1;
-            }
-            reg.exportJson(f);
-        }
+        if (!json::writeFile(stats_json_path, [&reg](std::ostream &os) {
+                reg.exportJson(os);
+            }))
+            return 1;
     }
     return report.allPassed() ? 0 : 1;
 }

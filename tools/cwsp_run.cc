@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "interp/interpreter.hh"
 #include "ir/printer.hh"
 #include "mem/nvm_device.hh"
+#include "sim/json.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace.hh"
 #include "sim/trace_mask.hh"
@@ -119,17 +119,8 @@ template <typename Emit>
 void
 writeJsonOutput(const std::string &json_path, Emit emit)
 {
-    if (json_path == "-") {
-        emit(std::cout);
-        return;
-    }
-    std::ofstream f(json_path);
-    if (!f) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     json_path.c_str());
+    if (!json::writeFile(json_path, emit))
         std::exit(1);
-    }
-    emit(f);
 }
 
 /** Parallel suite/roster evaluation through the batch engine. */

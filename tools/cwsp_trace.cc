@@ -51,12 +51,13 @@ kindName(interp::CommitKind k)
 void
 validateScheme(const std::string &scheme)
 {
-    const auto &all = core::schemeNames();
-    if (std::find(all.begin(), all.end(), scheme) != all.end())
-        return;
-    cwsp_fatal("unknown scheme '", scheme,
-               "'; valid: baseline, cwsp, capri, ido, replaycache, "
-               "psp");
+    std::string names;
+    for (const auto &s : core::schemeNames()) {
+        if (s == scheme)
+            return;
+        names += names.empty() ? s : ", " + s;
+    }
+    cwsp_fatal("unknown scheme '", scheme, "'; valid: ", names);
 }
 
 /** Fail with cwsp_fatal listing the roster applications. */
