@@ -2,14 +2,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
 
+#include "cli.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace cwsp::bench {
@@ -201,51 +201,24 @@ registerSweep(const std::string &fig,
     }
 }
 
+namespace {
+
+/**
+ * The bench body: evaluate every queued design point across the
+ * worker pool, then run the google-benchmark cases in argv.
+ */
 int
-benchMain(int argc, char **argv)
+runBenches(int argc, char **argv, const cli::Selection &sel)
 {
-    unsigned jobs = 0;
-    bool use_disk = true;
-    std::string cache_dir;
-    std::string stats_json;
-
-    // Strip our flags before google-benchmark parses argv.
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            std::size_t n = std::strlen(flag);
-            if (a.compare(0, n, flag) != 0)
-                return nullptr;
-            if (a.size() > n && a[n] == '=')
-                return argv[i] + n + 1;
-            if (a.size() == n && i + 1 < argc)
-                return argv[++i];
-            return nullptr;
-        };
-        if (const char *v = value("--jobs")) {
-            jobs = static_cast<unsigned>(std::atoi(v));
-        } else if (const char *v = value("--cache-dir")) {
-            cache_dir = v;
-        } else if (const char *v = value("--stats-json")) {
-            stats_json = v;
-        } else if (a == "--no-result-cache") {
-            use_disk = false;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-
+    const unsigned jobs = sel.jobs;
+    const std::string &stats_json = sel.statsJson;
     {
         auto &st = state();
         std::lock_guard<std::mutex> lk(st.mu);
         cwsp_assert(!st.runner,
                     "benchMain must configure the runner before any "
                     "cachedRun call");
-        st.runnerConfig.jobs = jobs;
-        st.runnerConfig.useDiskCache = use_disk;
-        st.runnerConfig.cacheDir = cache_dir;
+        st.runnerConfig = sel.batchConfig();
     }
 
     benchmark::Initialize(&argc, argv);
@@ -293,16 +266,29 @@ benchMain(int argc, char **argv)
     // Component stats aggregated over every point this process
     // actually simulated (cache hits contribute nothing — their
     // stats were folded in when the point was first computed).
-    if (!stats_json.empty()) {
-        std::ofstream f(stats_json);
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s for writing\n",
-                         stats_json.c_str());
-            return 1;
-        }
-        batchRunner().exportAggregateJson(f);
-    }
+    if (!stats_json.empty() &&
+        !json::writeFile(stats_json, [](std::ostream &os) {
+            batchRunner().exportAggregateJson(os);
+        }))
+        return 1;
     return 0;
+}
+
+} // namespace
+
+int
+benchMain(int argc, char **argv)
+{
+    cli::Selection sel;
+    const cli::Table table = {
+        cli::selection(sel, "--jobs"),
+        cli::selection(sel, "--cache-dir"),
+        cli::selection(sel, "--no-result-cache"),
+        cli::selection(sel, "--stats-json"),
+    };
+    return cli::run(
+        argc, argv, "[options] [google-benchmark flags]", table,
+        [&] { return runBenches(argc, argv, sel); }, true);
 }
 
 } // namespace cwsp::bench

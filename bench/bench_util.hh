@@ -108,10 +108,11 @@ void prefetchPoint(const workloads::AppProfile &app,
 driver::BatchRunner &batchRunner();
 
 /**
- * Shared main body for every bench binary: parses and strips the
- * runner flags (`--jobs N`, `--cache-dir DIR`, `--no-result-cache`,
- * `--stats-json FILE`), evaluates all queued design points across
- * the worker pool, then hands argv to google-benchmark and runs the
+ * Shared main body for every bench binary: strips the runner flags
+ * (`--jobs N`, `--cache-dir DIR`, `--no-result-cache`, `--stats-json
+ * FILE`) through the tools' option table (a bad value exits 2 with the
+ * usage), evaluates all queued design points across the worker pool,
+ * then hands the rest of argv to google-benchmark and runs the
  * registered cases. With `--stats-json` the runner's aggregate
  * component statistics are written as hierarchical JSON on exit.
  */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared --trace-mask spec parsing for the CLI tools (cwsp_run,
- * cwsp_trace, cwsp_analyze). Lives apart from sim/trace.hh so the
+ * --trace-mask spec parsing for the tools' shared option table
+ * (tools/cli.cc). Lives apart from sim/trace.hh so the
  * hot-path tracing header does not pull in parsing/stream machinery.
  */
 

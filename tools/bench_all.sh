@@ -77,7 +77,7 @@ if [ -x "$BUILD_DIR/tools/cwsp_faultcampaign" ]; then
     mkdir -p "$tmp/campaign"
     campaign=$tmp/campaign/report.json
     echo ">> cwsp_faultcampaign (jobs=$JOBS)" >&2
-    "$BUILD_DIR"/tools/cwsp_faultcampaign --apps fft,bzip2,cqueue \
+    "$BUILD_DIR"/tools/cwsp_faultcampaign --app fft,bzip2,cqueue \
         --points 1 --schedules 2 --jobs "$JOBS" \
         --json "$campaign" --quiet ||
         echo "bench_all: fault campaign reported failures" \

@@ -46,7 +46,7 @@ for san in "${SANITIZERS[@]}"; do
         echo "== thread: build (multi-threaded surfaces) =="
         cmake --build "$dir" -j "$JOBS" --target test_batch_runner \
               test_fault_campaign test_durable_lin test_json \
-              cwsp_faultcampaign cwsp_analyze
+              cwsp_run cwsp_faultcampaign cwsp_analyze bench_fig25_pb_size
         echo "== thread: batch, campaign, durable-lin and JSON tests =="
         # These tests run BatchRunner pools, the shared stream and
         # checkpoint caches, and campaign workers with jobs > 1; the
@@ -55,12 +55,14 @@ for san in "${SANITIZERS[@]}"; do
                  test_json; do
             "$dir"/tests/$t
         done
-        echo "== thread: cwsp_analyze exit codes =="
-        bash tests/analyze_exit_codes.sh "$dir"/tools/cwsp_analyze
+        echo "== thread: tool exit codes =="
+        bash tests/tools_exit_codes.sh "$dir"/tools/cwsp_run \
+             "$dir"/tools/cwsp_analyze "$dir"/tools/cwsp_faultcampaign \
+             "$dir"/bench/bench_fig25_pb_size
         echo "== thread: forked + concurrent campaign smokes (jobs 4) =="
-        "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
-              --points 1 --fork --jobs 4 --quiet
-        "$dir"/tools/cwsp_faultcampaign --apps cqueue,chash \
+        "$dir"/tools/cwsp_faultcampaign --app fft,bzip2 \
+              --points 1 --jobs 4 --quiet
+        "$dir"/tools/cwsp_faultcampaign --app cqueue,chash \
               --points 1 --schedules 2 --jobs 4 --quiet
         continue
     fi
@@ -72,7 +74,7 @@ for san in "${SANITIZERS[@]}"; do
     cmake --build "$dir" -j "$JOBS"
     echo "== $san: ctest =="
     # Includes test_json (artefact goldens, hostile-input and mutation
-    # checks on the JSON reader) and analyze_exit_codes.
+    # checks on the JSON reader) and tools_exit_codes.
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
     echo "== $san: replay-equivalence smoke =="
     # The full ctest pass above already runs test_replay_equiv; this
@@ -111,13 +113,14 @@ for san in "${SANITIZERS[@]}"; do
     # torn-log/bit-flip/stale-slot media faults, run differentially
     # against golden. Exits nonzero on any divergence, lost output,
     # or undetected media fault — and the sanitizers watch the
-    # hardened recovery path itself while it degrades. Runs in
-    # forked mode (--fork) so the checkpoint capture/restore path —
-    # the byte-blob component protocol and the bundle hand-off — is
-    # itself exercised under ASan and UBSan. Every case must fork:
-    # the printed ledger has to report 0 fallbacks.
-    "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
-          --points 1 --fork --jobs "$JOBS" --quiet \
+    # hardened recovery path itself while it degrades. Cases fork
+    # from golden-run checkpoints (the default), so the checkpoint
+    # capture/restore path — the byte-blob component protocol and the
+    # bundle hand-off — is itself exercised under ASan and UBSan.
+    # Every case must fork: the printed ledger has to report 0
+    # fallbacks.
+    "$dir"/tools/cwsp_faultcampaign --app fft,bzip2 \
+          --points 1 --jobs "$JOBS" --quiet \
           | tee "$dir"/campaign_smoke.txt
     if ! grep -q "forks, 0 fallbacks," "$dir"/campaign_smoke.txt; then
         echo "ci_check: forked campaign fell back to from-scratch" >&2
@@ -131,7 +134,7 @@ for san in "${SANITIZERS[@]}"; do
     # golden state to diff). Exits nonzero on any violation — and
     # the sanitizers watch the multicore crash/recovery path and the
     # checker's search itself.
-    "$dir"/tools/cwsp_faultcampaign --apps cqueue,chash \
+    "$dir"/tools/cwsp_faultcampaign --app cqueue,chash \
           --points 1 --schedules 2 --jobs "$JOBS" --quiet
     echo "== $san: what-if smoke (every scheme, cross-checked) =="
     # Counterfactual waterfalls for one app across all schemes with

@@ -25,9 +25,7 @@
  * and checks the crash/recovery invariants on that stream too.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -35,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "core/whole_system_sim.hh"
 #include "driver/batch_runner.hh"
 #include "obs/baseline_diff.hh"
@@ -44,111 +43,12 @@
 #include "obs/stall_attribution.hh"
 #include "obs/whatif_profiler.hh"
 #include "sim/json.hh"
-#include "sim/logging.hh"
 #include "sim/trace.hh"
 #include "workloads/workload.hh"
 
 using namespace cwsp;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: cwsp_analyze [mode] [selection]\n"
-        "modes (default --attribution):\n"
-        "  --attribution          per-cause stall attribution table\n"
-        "  --spans                region lifecycle phase summary\n"
-        "  --check-invariants     online invariant monitor; exit 1 on"
-        " violations\n"
-        "  --diff OLD NEW         compare two stats-JSON files; exit 1"
-        " on regressions\n"
-        "  --whatif               per-resource what-if waterfalls +"
-        " knob sensitivity\n"
-        "                         (markdown to stdout; --report-json"
-        " FILE for JSON)\n"
-        "  --recovery-report FILE per-scheme recovery-latency vs."
-        " runtime-overhead\n"
-        "                         Pareto table from a fault-campaign"
-        " JSON (markdown\n"
-        "                         to stdout; --report-json FILE for"
-        " the JSON form)\n"
-        "  --validate-trace FILE  validate a Chrome/Perfetto trace:"
-        " parse + counter\n"
-        "                         tracks monotone in time; exit 1 on"
-        " findings\n"
-        "  --trajectory-append TRAJ SUMMARY\n"
-        "                         append a labeled headline-metric"
-        " snapshot of\n"
-        "                         SUMMARY to the TRAJ JSON array"
-        " (creates it)\n"
-        "selection (run modes):\n"
-        "  --scheme NAME|all      scheme(s) to run (default cwsp)\n"
-        "  --app NAME[,NAME]|all  app(s) to run (default fft)\n"
-        "  --suite NAME           all apps of one suite\n"
-        "  --crash FRAC           also crash at FRAC of run length and"
-        " check recovery\n"
-        "  --trace-cap N          trace ring capacity (default 2^20)\n"
-        "  --jobs N               worker threads for batch"
-        " --check-invariants/--whatif\n"
-        "what-if options:\n"
-        "  --no-sensitivity       skip the knob-sensitivity pass\n"
-        "  --no-result-cache      bypass the persistent result"
-        " cache\n"
-        "diff options:\n"
-        "  --threshold F          relative change flagged (default"
-        " 0.05)\n"
-        "  --ignore SUBSTR        skip metrics containing SUBSTR"
-        " (repeatable)\n"
-        "trajectory options:\n"
-        "  --label NAME           entry label (default: unlabeled)\n"
-        "  --date DATE            entry date string (optional)\n"
-        "  --keep SUBSTR          replace the kept-metric filter with"
-        " SUBSTR (repeatable)\n");
-}
-
-std::vector<std::string>
-resolveSchemes(const std::string &spec)
-{
-    const auto &all = core::schemeNames();
-    if (spec == "all")
-        return all;
-    if (std::find(all.begin(), all.end(), spec) != all.end())
-        return {spec};
-    std::string names;
-    for (const auto &s : all)
-        names += s + ", ";
-    cwsp_fatal("unknown scheme '", spec, "'; valid: ", names, "all");
-    return {};
-}
-
-std::vector<workloads::AppProfile>
-resolveApps(const std::string &app_spec, const std::string &suite)
-{
-    if (!suite.empty()) {
-        auto apps = workloads::appsBySuite(suite);
-        if (apps.empty()) {
-            std::string names;
-            for (const auto &s : workloads::suiteNames())
-                names += names.empty() ? s : ", " + s;
-            cwsp_fatal("unknown suite '", suite, "'; valid: ", names);
-        }
-        return apps;
-    }
-    if (app_spec == "all")
-        return workloads::appTable();
-    std::vector<workloads::AppProfile> apps;
-    std::istringstream names(app_spec);
-    for (std::string name; std::getline(names, name, ',');) {
-        if (!name.empty())
-            apps.push_back(workloads::appByName(name));
-    }
-    if (apps.empty())
-        cwsp_fatal("no apps selected");
-    return apps;
-}
 
 struct RunOptions
 {
@@ -226,10 +126,8 @@ analyzePoint(const std::string &scheme,
 int
 runBatchInvariants(const std::vector<std::string> &schemes,
                    const std::vector<workloads::AppProfile> &apps,
-                   unsigned jobs)
+                   driver::BatchConfig bc)
 {
-    driver::BatchConfig bc;
-    bc.jobs = jobs;
     bc.checkInvariants = true;
     driver::BatchRunner runner(bc);
     std::vector<driver::DesignPoint> points;
@@ -441,116 +339,48 @@ runTrajectoryAppend(const std::string &traj,
     return 0;
 }
 
-int
-runMain(int argc, char **argv)
+/** Everything the command line sets. */
+struct Options
 {
-    RunOptions opt;
-    std::string scheme_spec = "cwsp";
-    std::string app_spec = "fft";
-    std::string suite;
-    std::string diff_before, diff_after;
-    std::string traj_path, traj_summary;
-    std::string recovery_path, report_json_path;
-    std::string validate_path;
-    bool diff = false;
+    RunOptions run;
+    cli::Selection sel;
+    std::string diffBefore, diffAfter;
+    std::string trajPath, trajSummary;
+    std::string recoveryPath, reportJsonPath;
+    std::string validatePath;
+    bool diffMode = false, trajMode = false;
     bool whatif = false;
-    bool traj = false;
-    bool traj_keep_cleared = false;
     bool sensitivity = true;
-    driver::BatchConfig bc;
-    obs::DiffOptions diff_options;
-    obs::TrajectoryOptions traj_options;
+    obs::DiffOptions diff;
+    obs::TrajectoryOptions traj;
+};
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (a == "--attribution")
-            opt.attribution = true;
-        else if (a == "--spans")
-            opt.spans = true;
-        else if (a == "--check-invariants")
-            opt.checkInvariants = true;
-        else if (a == "--diff") {
-            diff = true;
-            diff_before = next();
-            diff_after = next();
-        } else if (a == "--whatif") {
-            whatif = true;
-        } else if (a == "--no-sensitivity") {
-            sensitivity = false;
-        } else if (a == "--no-result-cache") {
-            bc.useDiskCache = false;
-        } else if (a == "--recovery-report") {
-            recovery_path = next();
-        } else if (a == "--report-json") {
-            report_json_path = next();
-        } else if (a == "--validate-trace") {
-            validate_path = next();
-        } else if (a == "--trajectory-append") {
-            traj = true;
-            traj_path = next();
-            traj_summary = next();
-        } else if (a == "--label")
-            traj_options.label = next();
-        else if (a == "--date")
-            traj_options.date = next();
-        else if (a == "--keep") {
-            if (!traj_keep_cleared) {
-                traj_options.keepSubstrings.clear();
-                traj_keep_cleared = true;
-            }
-            traj_options.keepSubstrings.push_back(next());
-        } else if (a == "--scheme")
-            scheme_spec = next();
-        else if (a == "--app")
-            app_spec = next();
-        else if (a == "--suite")
-            suite = next();
-        else if (a == "--crash")
-            opt.crashFrac = std::strtod(next(), nullptr);
-        else if (a == "--trace-cap")
-            opt.traceCap = std::strtoull(next(), nullptr, 0);
-        else if (a == "--jobs")
-            bc.jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        else if (a == "--threshold")
-            diff_options.threshold = std::strtod(next(), nullptr);
-        else if (a == "--ignore")
-            diff_options.ignoreSubstrings.push_back(next());
-        else {
-            usage();
-            return 2;
-        }
-    }
+int
+runMain(Options &o)
+{
+    RunOptions &opt = o.run;
+    if (o.diffMode)
+        return runDiff(o.diffBefore, o.diffAfter, o.diff);
+    if (!o.recoveryPath.empty())
+        return runRecoveryReport(o.recoveryPath, o.reportJsonPath);
+    if (!o.validatePath.empty())
+        return runValidateTrace(o.validatePath);
+    if (o.trajMode)
+        return runTrajectoryAppend(o.trajPath, o.trajSummary, o.traj);
 
-    if (diff)
-        return runDiff(diff_before, diff_after, diff_options);
-    if (!recovery_path.empty())
-        return runRecoveryReport(recovery_path, report_json_path);
-    if (!validate_path.empty())
-        return runValidateTrace(validate_path);
-    if (traj)
-        return runTrajectoryAppend(traj_path, traj_summary,
-                                   traj_options);
+    const auto &schemes = o.sel.schemes;
+    const auto apps = o.sel.profiles();
 
-    auto schemes = resolveSchemes(scheme_spec);
-    auto apps = resolveApps(app_spec, suite);
-
-    if (whatif)
-        return runWhatIfMode(schemes, apps, bc, opt.traceCap,
-                             sensitivity, report_json_path);
+    if (o.whatif)
+        return runWhatIfMode(schemes, apps, o.sel.batchConfig(),
+                             opt.traceCap, o.sensitivity,
+                             o.reportJsonPath);
 
     // Invariant-only smoke goes through the batch engine (parallel,
     // monitor attached per simulation by the runner itself).
     if (opt.checkInvariants && !opt.spans && !opt.attribution &&
         opt.crashFrac < 0.0)
-        return runBatchInvariants(schemes, apps, bc.jobs);
+        return runBatchInvariants(schemes, apps, o.sel.batchConfig());
 
     if (!opt.spans && !opt.attribution)
         opt.attribution = true;
@@ -577,11 +407,87 @@ runMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // cwsp_fatal throws; surface the message without a terminate().
-    try {
-        return runMain(argc, argv);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
+    Options o;
+    o.sel.apps = {"fft"};
+    o.sel.schemes = {"cwsp"};
+    bool keep_cleared = false;
+    auto two = [](bool &mode, std::string &a, std::string &b) {
+        return [&mode, &a, &b](const std::vector<std::string> &v) {
+            mode = true;
+            a = v[0];
+            b = v[1];
+        };
+    };
+    const cli::Table table = {
+        {"", "", "modes (default --attribution):", {}},
+        cli::flag("--attribution", "per-cause stall attribution table",
+                  o.run.attribution),
+        cli::flag("--spans", "region lifecycle phase summary",
+                  o.run.spans),
+        cli::flag("--check-invariants",
+                  "online invariant monitor; exit 1 on violations",
+                  o.run.checkInvariants),
+        {"--diff", "OLD NEW",
+         "compare two stats-JSON files; exit 1 on regressions",
+         two(o.diffMode, o.diffBefore, o.diffAfter)},
+        cli::flag("--whatif",
+                  "per-resource what-if waterfalls + knob sensitivity\n"
+                  "(markdown to stdout; --report-json FILE for JSON)",
+                  o.whatif),
+        cli::text("--recovery-report", "FILE",
+                  "per-scheme recovery-latency vs. runtime-overhead\n"
+                  "Pareto table from a fault-campaign JSON (markdown\n"
+                  "to stdout; --report-json FILE for the JSON form)",
+                  o.recoveryPath),
+        cli::text("--validate-trace", "FILE",
+                  "validate a Chrome/Perfetto trace: parse + counter\n"
+                  "tracks monotone in time; exit 1 on findings",
+                  o.validatePath),
+        {"--trajectory-append", "TRAJ SUMMARY",
+         "append a labeled headline-metric snapshot of\n"
+         "SUMMARY to the TRAJ JSON array (creates it)",
+         two(o.trajMode, o.trajPath, o.trajSummary)},
+        {"", "", "selection (run modes):", {}},
+        cli::selection(o.sel, "--scheme"),
+        cli::selection(o.sel, "--app"),
+        cli::selection(o.sel, "--suite"),
+        cli::number("--crash", "FRAC",
+                    "also crash at FRAC of run length and check recovery",
+                    o.run.crashFrac, 0.0, 1.0),
+        cli::number("--trace-cap", "N", "trace ring capacity (default 2^20)",
+                    o.run.traceCap, 1, 1u << 26),
+        cli::selection(o.sel, "--jobs"),
+        {"", "", "what-if options:", {}},
+        cli::flag("--no-sensitivity", "skip the knob-sensitivity pass",
+                  o.sensitivity, false),
+        cli::selection(o.sel, "--no-result-cache"),
+        cli::text("--report-json", "FILE",
+                  "JSON form of the --whatif or --recovery-report "
+                  "report",
+                  o.reportJsonPath),
+        {"", "", "diff options:", {}},
+        cli::number("--threshold", "F",
+                    "relative change flagged (default 0.05)",
+                    o.diff.threshold, 0.0, 1e9),
+        {"--ignore", "SUBSTR",
+         "skip metrics containing SUBSTR (repeatable)",
+         [&o](const auto &v) {
+             o.diff.ignoreSubstrings.push_back(v[0]);
+         }},
+        {"", "", "trajectory options:", {}},
+        cli::text("--label", "NAME",
+                  "entry label (default: unlabeled)", o.traj.label),
+        cli::text("--date", "DATE", "entry date string (optional)",
+                  o.traj.date),
+        {"--keep", "SUBSTR",
+         "replace the kept-metric filter with SUBSTR (repeatable)",
+         [&o, &keep_cleared](const auto &v) {
+             if (!keep_cleared)
+                 o.traj.keepSubstrings.clear();
+             keep_cleared = true;
+             o.traj.keepSubstrings.push_back(v[0]);
+         }},
+    };
+    return cli::run(argc, argv, "[mode] [selection]", table,
+                    [&o] { return runMain(o); });
 }

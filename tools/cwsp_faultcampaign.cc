@@ -6,23 +6,18 @@
  * differentially against a golden run across a worker pool, shrinks
  * failures to minimal repros, and writes a machine-readable report.
  *
- *   cwsp_faultcampaign --apps bzip2,radix
- *   cwsp_faultcampaign --apps tpcc --schemes cwsp,ido --points 4
- *   cwsp_faultcampaign --apps bzip2 --json report.json
+ *   cwsp_faultcampaign --app bzip2,radix
+ *   cwsp_faultcampaign --app tpcc --scheme cwsp,ido --points 4
+ *   cwsp_faultcampaign --app bzip2 --json report.json
  *
  * Exit status is 0 iff every case passed (zero unexplained
  * divergences and no silently-corrupting media fault).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
-#include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
+#include "cli.hh"
 #include "fault/campaign.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
@@ -31,142 +26,29 @@ using namespace cwsp;
 
 namespace {
 
-void
-usage()
+/** Everything the command line sets. */
+struct Options
 {
-    std::fprintf(
-        stderr,
-        "usage: cwsp_faultcampaign [options]\n"
-        "  --apps A,B,...      workloads to campaign over (required)\n"
-        "  --schemes X,Y,...   scheme presets (default: all six)\n"
-        "  --points N          crash points kept per kind per\n"
-        "                      (app, scheme) pair (default 3)\n"
-        "  --no-nested         skip nested-crash schedules\n"
-        "  --no-media          skip torn/bit-flip/stale-slot faults\n"
-        "  --no-shrink         report failures unshrunk\n"
-        "  --fork              fork cases from golden-run checkpoints\n"
-        "                      (default; O(tail) per case)\n"
-        "  --no-fork           re-execute every pre-crash prefix\n"
-        "  --seed N            base seed of the deterministic\n"
-        "                      interleaving schedules swept for\n"
-        "                      concurrent apps (default 1)\n"
-        "  --schedules N       interleaving schedules per concurrent\n"
-        "                      (app, scheme); schedule 0 is always\n"
-        "                      the unjittered timing (default 2)\n"
-        "  --seed-cas-bug      inject the seeded CAS-ordering bug\n"
-        "                      into concurrent apps (checker\n"
-        "                      self-test; the campaign must fail)\n"
-        "  --jobs N            worker threads (default: all cores)\n"
-        "  --json FILE         write the JSON report (`-` = stdout)\n"
-        "  --stats-json FILE   write hierarchical stats JSON (like\n"
-        "                      cwsp_run's): campaign counters plus\n"
-        "                      per-scheme recovery-latency and\n"
-        "                      lost-work histograms (`-` = stdout)\n"
-        "  --quiet             suppress the per-case table\n");
-}
-
-const char *
-arg(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-    }
-    return argv[++i];
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
+    fault::CampaignOptions campaign;
+    cli::Selection sel;
+    std::string jsonPath;
+    bool quiet = false;
+};
 
 int
-runMain(int argc, char **argv)
+runMain(Options &o)
 {
-    fault::CampaignOptions opt;
-    std::string json_path;
-    std::string stats_json_path;
-    bool quiet = false;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--apps") {
-            opt.apps = splitList(arg(argc, argv, i));
-        } else if (a == "--schemes") {
-            opt.schemes = splitList(arg(argc, argv, i));
-        } else if (a == "--points") {
-            int n = std::atoi(arg(argc, argv, i));
-            if (n <= 0) {
-                std::fprintf(stderr,
-                             "--points expects a positive count\n");
-                return 2;
-            }
-            opt.pointsPerKind = static_cast<std::size_t>(n);
-        } else if (a == "--no-nested") {
-            opt.nested = false;
-        } else if (a == "--no-media") {
-            opt.mediaFaults = false;
-        } else if (a == "--no-shrink") {
-            opt.shrink = false;
-        } else if (a == "--fork") {
-            opt.forkCheckpoints = true;
-        } else if (a == "--no-fork") {
-            opt.forkCheckpoints = false;
-        } else if (a == "--seed") {
-            const char *v = arg(argc, argv, i);
-            long long n = std::atoll(v);
-            if (n <= 0) {
-                std::fprintf(
-                    stderr,
-                    "--seed expects a positive seed, got '%s'\n", v);
-                return 2;
-            }
-            opt.interleaveSeed = static_cast<std::uint64_t>(n);
-        } else if (a == "--schedules") {
-            const char *v = arg(argc, argv, i);
-            int n = std::atoi(v);
-            if (n <= 0) {
-                std::fprintf(
-                    stderr,
-                    "--schedules expects a positive count, got "
-                    "'%s'\n",
-                    v);
-                return 2;
-            }
-            opt.numSchedules = static_cast<std::uint32_t>(n);
-        } else if (a == "--seed-cas-bug") {
-            opt.seedCasBug = true;
-        } else if (a == "--jobs") {
-            opt.jobs =
-                static_cast<unsigned>(std::atoi(arg(argc, argv, i)));
-        } else if (a == "--json") {
-            json_path = arg(argc, argv, i);
-        } else if (a == "--stats-json") {
-            stats_json_path = arg(argc, argv, i);
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (opt.apps.empty()) {
-        usage();
-        return 2;
-    }
-
-    auto report = fault::runCampaign(opt);
+    if (o.sel.apps.empty())
+        throw cli::UsageError("--app is required");
+    o.campaign.apps = o.sel.apps;
+    o.campaign.schemes = o.sel.schemes;
+    o.campaign.jobs = o.sel.jobs;
+    const std::string &json_path = o.jsonPath;
+    auto report = fault::runCampaign(o.campaign);
 
     // With `--json -` the JSON owns stdout; move tables to stderr.
     std::FILE *out = json_path == "-" ? stderr : stdout;
-    if (!quiet) {
+    if (!o.quiet) {
         for (const auto &r : report.cases) {
             std::fprintf(out, "%-52s %s\n", r.c.label().c_str(),
                          r.pass ? "pass"
@@ -220,10 +102,10 @@ runMain(int argc, char **argv)
             report.writeJson(os);
         }))
         return 1;
-    if (!stats_json_path.empty()) {
+    if (!o.sel.statsJson.empty()) {
         StatsRegistry reg;
         report.fillStats(reg);
-        if (!json::writeFile(stats_json_path, [&reg](std::ostream &os) {
+        if (!json::writeFile(o.sel.statsJson, [&reg](std::ostream &os) {
                 reg.exportJson(os);
             }))
             return 1;
@@ -236,10 +118,45 @@ runMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return runMain(argc, argv);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
+    Options o;
+    o.sel.concurrentApps = true;
+    fault::CampaignOptions &c = o.campaign;
+    const cli::Table table = {
+        cli::selection(o.sel, "--app"),
+        cli::selection(o.sel, "--scheme"),
+        cli::number("--points", "N",
+                    "crash points kept per kind per (app, scheme) pair\n"
+                    "(default 3)",
+                    c.pointsPerKind, 1, 1000000),
+        cli::flag("--no-nested", "skip nested-crash schedules",
+                  c.nested, false),
+        cli::flag("--no-media", "skip torn/bit-flip/stale-slot faults",
+                  c.mediaFaults, false),
+        cli::flag("--no-shrink", "report failures unshrunk", c.shrink,
+                  false),
+        cli::flag("--no-fork",
+                  "re-execute every pre-crash prefix instead of\n"
+                  "forking from golden-run checkpoints",
+                  c.forkCheckpoints, false),
+        cli::number("--seed", "N",
+                    "base seed of the deterministic interleaving\n"
+                    "schedules swept for concurrent apps (default 1)",
+                    c.interleaveSeed, 1),
+        cli::number("--schedules", "N",
+                    "interleaving schedules per concurrent (app, scheme);\n"
+                    "schedule 0 is always the unjittered timing "
+                    "(default 2)",
+                    c.numSchedules, 1, 65536),
+        cli::flag("--seed-cas-bug",
+                  "inject the seeded CAS-ordering bug into concurrent\n"
+                  "apps (checker self-test; the campaign must fail)",
+                  c.seedCasBug),
+        cli::selection(o.sel, "--jobs"),
+        cli::text("--json", "FILE",
+                  "write the JSON report (`-` = stdout)", o.jsonPath),
+        cli::selection(o.sel, "--stats-json"),
+        cli::flag("--quiet", "suppress the per-case table", o.quiet),
+    };
+    return cli::run(argc, argv, "[options]", table,
+                    [&o] { return runMain(o); });
 }

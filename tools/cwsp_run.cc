@@ -2,14 +2,16 @@
  * @file
  * Command-line driver: run any roster application — or a whole suite
  * in parallel — under any persistence scheme with optional hardware
- * overrides, crash injection, full statistics, and IR dumps.
+ * overrides, crash injection, full statistics, annotated IR dumps and
+ * commit-stream listings.
  *
  *   cwsp_run --list
  *   cwsp_run --app radix --scheme cwsp --stats
  *   cwsp_run --app tpcc --scheme capri --bw 32
  *   cwsp_run --app fft --scheme cwsp --crash 0.5
- *   cwsp_run --app lbm --dump-ir | less
- *   cwsp_run --all --scheme cwsp --jobs 8        # parallel batch
+ *   cwsp_run --app tpcc --scheme ido --dump-ir | less
+ *   cwsp_run --app radix --scheme capri --commits 5000:50
+ *   cwsp_run --app all --scheme cwsp --jobs 8    # parallel batch
  *   cwsp_run --suite splash3 --scheme capri --jobs 4
  *
  * Batch runs go through the driver::BatchRunner engine: design
@@ -21,14 +23,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
+#include "compiler/pass_manager.hh"
 #include "core/consistency_checker.hh"
 #include "core/sim_checkpoint.hh"
 #include "core/whole_system_sim.hh"
@@ -41,77 +44,204 @@
 #include "sim/json.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace.hh"
-#include "sim/trace_mask.hh"
 #include "workloads/workload.hh"
 
 using namespace cwsp;
 
 namespace {
 
-void
-usage()
+/** Everything the command line sets. */
+struct Options
 {
-    std::fprintf(
-        stderr,
-        "usage: cwsp_run [options]\n"
-        "  --list                 list applications and exit\n"
-        "  --app NAME             application to run (or `all`)\n"
-        "  --suite NAME           run every app of one suite\n"
-        "  --scheme NAME          baseline|cwsp|capri|ido|replaycache|psp"
-        " (default cwsp)\n"
-        "  --bw GB                persist-path bandwidth (default 4)\n"
-        "  --rbt N                RBT entries (default 16)\n"
-        "  --pb N                 persist-buffer entries (default 50)\n"
-        "  --wpq N                WPQ entries (default 24)\n"
-        "  --nvm TECH             pmem|sttram|reram|cxl-a..d"
-        " (default pmem)\n"
-        "  --jobs N               batch worker threads"
-        " (default: all cores)\n"
-        "  --cache-dir DIR        persistent result cache location\n"
-        "  --no-cache             skip the persistent result cache\n"
-        "  --crash FRAC           inject a power failure at FRAC of the"
-        " run (single app)\n"
-        "  --crash-sweep N        crash at N trace-derived interesting"
-        " points (single app);\n"
-        "                         each point forks from a golden-run"
-        " checkpoint\n"
-        "  --no-fork              sweep without checkpoint forking"
-        " (re-execute prefixes)\n"
-        "  --crash-at-event KIND[:N]\n"
-        "                         crash at the N-th (default 0) point"
-        " of KIND:\n"
-        "                         region_begin|region_persist|"
-        "mid_drain|undo_append\n"
-        "  --stats                dump component statistics (single"
-        " app)\n"
-        "  --stats-json FILE      write statistics JSON (single app;"
-        " `-` = stdout);\n"
-        "                         in batch mode: aggregate over the"
-        " simulated points\n"
-        "  --trace-out FILE       write a Chrome trace-event JSON of"
-        " the run (single app)\n"
-        "  --trace-mask SPEC      trace categories: comma list of\n"
-        "                         region,pb,rbt,wpq,mc,wb,path,crash,\n"
-        "                         all|none, or a hex mask (0x..);"
-        " default all\n"
-        "  --sample-period N      sample occupancy/throughput gauges"
-        " every N simulated\n"
-        "                         cycles (single app; 0 = config-"
-        "derived default).\n"
-        "                         Series land in --stats-json"
-        " (time_series) and as\n"
-        "                         counter tracks in --trace-out\n"
-        "  --dump-ir              print the compiled IR and exit\n");
+    cli::Selection sel;
+    std::string nvm = "pmem";
+    double bw = 4.0;
+    unsigned rbt = 16, pb = 50, wpq = 24;
+    double crashFrac = -1.0;
+    unsigned crashSweep = 0;
+    bool forkSweep = true;
+    bool atEvent = false; ///< --crash-at-event given
+    fault::CrashPointKind eventKind = fault::CrashPointKind::RegionBegin;
+    std::size_t eventIndex = 0;
+    long samplePeriod = -1; ///< -1 = sampling off; 0 = default
+    bool list = false, stats = false, dumpIr = false;
+    std::uint64_t commitsFrom = 0;
+    std::uint64_t commitsCount = 0; ///< 0 = no --commits
+};
+
+/** One recovery-slice op as text. */
+std::string
+rsOpText(const ir::RsOp &op)
+{
+    const std::string dst = "r" + std::to_string(op.dst) + " = ";
+    switch (op.kind) {
+      case ir::RsOp::Kind::LoadSlot:
+        return dst + "slot[r" + std::to_string(op.slot) + "]";
+      case ir::RsOp::Kind::SetImm:
+        return dst + std::to_string(op.imm);
+      case ir::RsOp::Kind::Apply:
+        return dst + ir::opcodeName(op.op) + "(r" +
+               std::to_string(op.srcA) +
+               (op.bIsImm ? ", " + std::to_string(op.imm)
+                          : ", r" + std::to_string(op.srcB)) +
+               ")";
+    }
+    return dst + "?";
 }
 
-const char *
-arg(int argc, char **argv, int &i)
+/**
+ * --dump-ir: the app compiled for @p scheme, annotated with its
+ * recoverable regions — boundary ids, per-region live-ins, the
+ * synthesized recovery slices — plus the compile statistics.
+ */
+void
+dumpAnnotatedIr(const workloads::AppProfile &app,
+                const std::string &scheme,
+                const compiler::CompilerOptions &options)
 {
-    if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
+    compiler::CompileStats stats;
+    auto mod = workloads::buildApp(app, options, &stats);
+    std::printf("== %s (%s profile): %llu regions, %llu mem cuts, "
+                "%llu ckpts inserted, %llu pruned, %llu slice ops\n\n",
+                app.name.c_str(), scheme.c_str(),
+                (unsigned long long)stats.boundaries,
+                (unsigned long long)stats.memAntidepCuts,
+                (unsigned long long)stats.checkpointsInserted,
+                (unsigned long long)stats.checkpointsPruned,
+                (unsigned long long)stats.sliceOps);
+    for (std::size_t fi = 0; fi < mod->numFunctions(); ++fi) {
+        const auto &f = mod->function(static_cast<ir::FuncId>(fi));
+        std::printf("func %s (%u params)\n", f.name().c_str(),
+                    f.numParams());
+        for (std::size_t bb = 0; bb < f.numBlocks(); ++bb) {
+            std::printf("bb%zu:\n", bb);
+            for (const auto &instr :
+                 f.block(static_cast<ir::BlockId>(bb)).instrs()) {
+                if (instr.op != ir::Opcode::RegionBoundary) {
+                    std::printf("    %s\n", ir::toString(instr).c_str());
+                    continue;
+                }
+                auto rid = static_cast<ir::StaticRegionId>(instr.imm);
+                std::printf("  ---------------- region #%u ", rid);
+                if (rid < f.recoverySlices().size()) {
+                    const auto &slice = f.recoverySlices()[rid];
+                    std::printf("(live-in:");
+                    for (ir::Reg r : slice.liveIns)
+                        std::printf(" r%u", r);
+                    std::printf(") RS{");
+                    for (std::size_t k = 0; k < slice.ops.size(); ++k)
+                        std::printf("%s%s", k ? "; " : "",
+                                    rsOpText(slice.ops[k]).c_str());
+                    std::printf("}");
+                }
+                std::printf("\n");
+            }
+        }
+        std::printf("\n");
     }
-    return argv[++i];
+}
+
+std::string
+commitKindName(interp::CommitKind k)
+{
+    switch (k) {
+      case interp::CommitKind::Alu: return "alu";
+      case interp::CommitKind::Load: return "load";
+      case interp::CommitKind::Store: return "store";
+      case interp::CommitKind::Atomic: return "atomic";
+      case interp::CommitKind::AtomicPrepare: return "atomprep";
+      case interp::CommitKind::Fence: return "fence";
+      case interp::CommitKind::Io: return "io";
+      case interp::CommitKind::Branch: return "branch";
+      case interp::CommitKind::CallRet: return "callret";
+      case interp::CommitKind::Boundary: return "boundary";
+    }
+    // Unknown kinds keep the raw enum value visible instead of
+    // collapsing every future addition into an anonymous "?".
+    return "?(" + std::to_string(static_cast<int>(k)) + ")";
+}
+
+/** Wraps the scheme, printing each commit with its cycle cost. */
+class CommitPrinter final : public interp::CommitSink
+{
+  public:
+    CommitPrinter(arch::Scheme &scheme, std::uint64_t from,
+                  std::uint64_t count)
+        : scheme_(scheme), from_(from), count_(count)
+    {
+    }
+
+    bool done() const { return printed_ >= count_; }
+
+    void
+    onCommit(const interp::CommitInfo &info) override
+    {
+        Tick before = scheme_.cycles(info.core);
+        scheme_.onCommit(info);
+        Tick after = scheme_.cycles(info.core);
+        if (seq_++ < from_ || printed_ >= count_)
+            return;
+        ++printed_;
+        std::printf("%10llu  c%u %-9s", (unsigned long long)before,
+                    info.core, commitKindName(info.kind).c_str());
+        switch (info.kind) {
+          case interp::CommitKind::Load:
+            std::printf(" [0x%llx]", (unsigned long long)info.addr);
+            break;
+          case interp::CommitKind::Store:
+          case interp::CommitKind::Atomic:
+            std::printf(" [0x%llx] = %llu%s",
+                        (unsigned long long)info.addr,
+                        (unsigned long long)info.storeValue,
+                        info.isCheckpoint ? " (ckpt)" : "");
+            break;
+          case interp::CommitKind::Io:
+            std::printf(" dev%llu <- %llu",
+                        (unsigned long long)info.addr,
+                        (unsigned long long)info.storeValue);
+            break;
+          case interp::CommitKind::Boundary:
+            std::printf(" region %llu (static #%u)",
+                        (unsigned long long)scheme_.currentRegion(
+                            info.core),
+                        info.staticRegion);
+            break;
+          default:
+            break;
+        }
+        if (after > before + 1)
+            std::printf("   (+%llu cycles)",
+                        (unsigned long long)(after - before));
+        std::printf("\n");
+    }
+
+  private:
+    arch::Scheme &scheme_;
+    std::uint64_t from_;
+    std::uint64_t count_;
+    std::uint64_t seq_ = 0;
+    std::uint64_t printed_ = 0;
+};
+
+/**
+ * --commits FROM:N: drive the interpreter through the scheme and
+ * print committed instructions FROM..FROM+N-1 with their cycle
+ * timestamps, region ids and persistence events — the gem5
+ * `--debug-flags=Exec` equivalent for this simulator.
+ */
+void
+listCommits(const ir::Module &mod, const core::SystemConfig &cfg,
+            std::uint64_t from, std::uint64_t count)
+{
+    interp::SparseMemory memory;
+    mem::Hierarchy hierarchy(cfg.hierarchy, 1);
+    auto scheme = arch::makeScheme(cfg.scheme, hierarchy, 1);
+    CommitPrinter printer(*scheme, from, count);
+    interp::Interpreter it(mod, memory, 0);
+    it.start("main", {}, printer);
+    std::printf("%10s  %s\n", "cycle", "commit");
+    while (!it.finished() && !printer.done())
+        it.step(printer);
 }
 
 /** Write @p json_path ("-" = stdout) via @p emit. */
@@ -123,20 +253,34 @@ writeJsonOutput(const std::string &json_path, Emit emit)
         std::exit(1);
 }
 
+/** The one-line summary of a single-app run @p r. */
+void
+printRun(std::FILE *out, const workloads::AppProfile &app,
+         const Options &o, const core::RunResult &r,
+         const core::RunResult &base)
+{
+    std::fprintf(out,
+                 "%s on %s/%s: %llu instrs, %llu cycles "
+                 "(slowdown %.3fx), region %.1f instrs, "
+                 "PB stalls %llu, RBT stalls %llu\n",
+                 app.name.c_str(), o.sel.schemes[0].c_str(),
+                 o.nvm.c_str(), (unsigned long long)r.instructions,
+                 (unsigned long long)r.cycles,
+                 static_cast<double>(r.cycles) /
+                     static_cast<double>(base.cycles),
+                 r.meanRegionInstrs, (unsigned long long)r.pbFullStalls,
+                 (unsigned long long)r.rbtFullStalls);
+}
+
 /** Parallel suite/roster evaluation through the batch engine. */
 int
-runBatch(const std::vector<workloads::AppProfile> &apps,
-         const std::string &scheme, const std::string &nvm,
-         const core::SystemConfig &cfg,
-         const core::SystemConfig &base_cfg, unsigned jobs,
-         bool use_cache, const std::string &cache_dir,
-         const std::string &stats_json)
+runBatch(const Options &o, const core::SystemConfig &cfg,
+         const core::SystemConfig &base_cfg)
 {
-    driver::BatchConfig bc;
-    bc.jobs = jobs;
-    bc.useDiskCache = use_cache;
-    bc.cacheDir = cache_dir;
-    driver::BatchRunner runner(bc);
+    const auto apps = o.sel.profiles();
+    const std::string &scheme = o.sel.schemes[0];
+    const std::string &stats_json = o.sel.statsJson;
+    driver::BatchRunner runner(o.sel.batchConfig());
 
     // Interleave (baseline, scheme) per app; results come back in
     // input order regardless of the worker count.
@@ -166,7 +310,7 @@ runBatch(const std::vector<workloads::AppProfile> &apps,
                      (unsigned long long)r.cycles, s);
     }
     std::fprintf(out, "gmean slowdown of %s/%s over baseline: %.3fx\n",
-                 scheme.c_str(), nvm.c_str(),
+                 scheme.c_str(), o.nvm.c_str(),
                  std::exp(log_sum /
                           static_cast<double>(apps.size())));
 
@@ -189,153 +333,45 @@ runBatch(const std::vector<workloads::AppProfile> &apps,
     return 0;
 }
 
-} // namespace
-
-namespace {
-
 int
-runMain(int argc, char **argv)
+runMain(const Options &o)
 {
-    std::string app_name;
-    std::string suite;
-    std::string scheme = "cwsp";
-    std::string nvm = "pmem";
-    std::string cache_dir;
-    std::string stats_json;
-    std::string trace_out;
-    std::string trace_mask = "all";
-    double bw = 4.0;
-    unsigned rbt = 16, pb = 50, wpq = 24;
-    unsigned jobs = 0;
-    double crash_frac = -1.0;
-    int crash_sweep = 0;
-    bool fork_sweep = true;
-    std::string crash_at_event;
-    long sample_period = -1; ///< -1 = sampling off; 0 = default
-    bool stats = false, dump_ir = false, use_cache = true;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--list") {
-            for (const auto &app : workloads::appTable()) {
-                std::printf("%-12s %-8s%s\n", app.name.c_str(),
-                            app.suite.c_str(),
-                            app.memIntensive ? "  [memory-intensive]"
-                                             : "");
-            }
-            return 0;
-        } else if (a == "--app") {
-            app_name = arg(argc, argv, i);
-        } else if (a == "--all") {
-            app_name = "all";
-        } else if (a == "--suite") {
-            suite = arg(argc, argv, i);
-        } else if (a == "--scheme") {
-            scheme = arg(argc, argv, i);
-        } else if (a == "--nvm") {
-            nvm = arg(argc, argv, i);
-        } else if (a == "--bw") {
-            bw = std::atof(arg(argc, argv, i));
-        } else if (a == "--rbt") {
-            rbt = static_cast<unsigned>(
-                std::atoi(arg(argc, argv, i)));
-        } else if (a == "--pb") {
-            pb = static_cast<unsigned>(std::atoi(arg(argc, argv, i)));
-        } else if (a == "--wpq") {
-            wpq = static_cast<unsigned>(
-                std::atoi(arg(argc, argv, i)));
-        } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::atoi(arg(argc, argv, i)));
-        } else if (a == "--cache-dir") {
-            cache_dir = arg(argc, argv, i);
-        } else if (a == "--no-cache") {
-            use_cache = false;
-        } else if (a == "--crash") {
-            const char *v = arg(argc, argv, i);
-            char *end = nullptr;
-            crash_frac = std::strtod(v, &end);
-            if (end == v || *end != '\0' ||
-                !std::isfinite(crash_frac) || crash_frac < 0.0 ||
-                crash_frac > 1.0) {
-                std::fprintf(stderr,
-                             "--crash expects a fraction in [0, 1], "
-                             "got '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (a == "--crash-sweep") {
-            const char *v = arg(argc, argv, i);
-            crash_sweep = std::atoi(v);
-            if (crash_sweep <= 0) {
-                std::fprintf(stderr,
-                             "--crash-sweep expects a positive point "
-                             "count, got '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (a == "--crash-at-event") {
-            crash_at_event = arg(argc, argv, i);
-        } else if (a == "--no-fork") {
-            fork_sweep = false;
-        } else if (a == "--stats") {
-            stats = true;
-        } else if (a == "--stats-json") {
-            stats_json = arg(argc, argv, i);
-        } else if (a == "--trace-out") {
-            trace_out = arg(argc, argv, i);
-        } else if (a == "--trace-mask") {
-            trace_mask = arg(argc, argv, i);
-        } else if (a == "--sample-period") {
-            const char *v = arg(argc, argv, i);
-            sample_period = std::atol(v);
-            if (sample_period < 0) {
-                std::fprintf(stderr,
-                             "--sample-period expects a non-negative "
-                             "cycle count, got '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (a == "--dump-ir") {
-            dump_ir = true;
-        } else {
-            usage();
-            return 2;
+    if (o.list) {
+        for (const auto &app : workloads::appTable()) {
+            std::printf("%-12s %-8s%s\n", app.name.c_str(),
+                        app.suite.c_str(),
+                        app.memIntensive ? "  [memory-intensive]" : "");
         }
+        return 0;
     }
-    if (app_name.empty() && suite.empty()) {
-        usage();
-        return 2;
-    }
+    if (o.sel.apps.empty())
+        throw cli::UsageError("--app or --suite is required");
 
+    const std::string &scheme = o.sel.schemes[0];
+    const std::string &stats_json = o.sel.statsJson;
+    const std::string &trace_out = o.sel.traceOut;
     auto cfg = core::makeSystemConfig(scheme);
-    cfg.scheme.path.bandwidthGBs = bw;
-    cfg.scheme.rbtCapacity = rbt;
-    cfg.scheme.pbCapacity = pb;
-    cfg.hierarchy.wpqCapacity = wpq;
-    cfg.hierarchy.tech = mem::nvmTechByName(nvm);
+    cfg.scheme.path.bandwidthGBs = o.bw;
+    cfg.scheme.rbtCapacity = o.rbt;
+    cfg.scheme.pbCapacity = o.pb;
+    cfg.hierarchy.wpqCapacity = o.wpq;
+    cfg.hierarchy.tech = mem::nvmTechByName(o.nvm);
 
     auto base_cfg = core::makeSystemConfig("baseline");
     base_cfg.hierarchy.tech = cfg.hierarchy.tech;
 
-    // Batch mode: every roster app or one suite, in parallel.
-    if (app_name == "all" || !suite.empty()) {
-        std::vector<workloads::AppProfile> apps =
-            suite.empty() ? workloads::appTable()
-                          : workloads::appsBySuite(suite);
-        if (apps.empty()) {
-            std::fprintf(stderr, "no applications in suite '%s'\n",
-                         suite.c_str());
-            return 2;
-        }
-        return runBatch(apps, scheme, nvm, cfg, base_cfg, jobs,
-                        use_cache, cache_dir, stats_json);
-    }
+    // Batch mode: several apps (a list, `all` or a suite) in parallel.
+    if (o.sel.apps.size() > 1)
+        return runBatch(o, cfg, base_cfg);
 
-    const auto &app = workloads::appByName(app_name);
+    const auto &app = workloads::appByName(o.sel.apps[0]);
+    if (o.dumpIr) {
+        dumpAnnotatedIr(app, scheme, cfg.compiler);
+        return 0;
+    }
     auto mod = workloads::buildApp(app, cfg.compiler);
-    if (dump_ir) {
-        ir::print(std::cout, *mod);
+    if (o.commitsCount != 0) {
+        listCommits(*mod, cfg, o.commitsFrom, o.commitsCount);
         return 0;
     }
 
@@ -343,30 +379,14 @@ runMain(int argc, char **argv)
     // (the baseline/scheme pair in parallel, both persistently
     // cached); --stats, --stats-json, --trace-out and --crash need
     // the live simulator state and take the direct path below.
-    if (!stats && crash_frac < 0.0 && crash_sweep == 0 &&
-        crash_at_event.empty() && stats_json.empty() &&
-        trace_out.empty() && sample_period < 0) {
-        driver::BatchConfig bc;
-        bc.jobs = jobs;
-        bc.useDiskCache = use_cache;
-        bc.cacheDir = cache_dir;
-        driver::BatchRunner runner(bc);
+    if (!o.stats && o.crashFrac < 0.0 && o.crashSweep == 0 &&
+        !o.atEvent && stats_json.empty() && trace_out.empty() &&
+        o.samplePeriod < 0) {
+        driver::BatchRunner runner(o.sel.batchConfig());
         auto results =
             runner.runAll({driver::DesignPoint{app, base_cfg},
                            driver::DesignPoint{app, cfg}});
-        const auto &base = results[0];
-        const auto &r = results[1];
-        std::printf("%s on %s/%s: %llu instrs, %llu cycles "
-                    "(slowdown %.3fx), region %.1f instrs, "
-                    "PB stalls %llu, RBT stalls %llu\n",
-                    app.name.c_str(), scheme.c_str(), nvm.c_str(),
-                    (unsigned long long)r.instructions,
-                    (unsigned long long)r.cycles,
-                    static_cast<double>(r.cycles) /
-                        static_cast<double>(base.cycles),
-                    r.meanRegionInstrs,
-                    (unsigned long long)r.pbFullStalls,
-                    (unsigned long long)r.rbtFullStalls);
+        printRun(stdout, app, o, results[1], results[0]);
         return 0;
     }
 
@@ -385,35 +405,29 @@ runMain(int argc, char **argv)
                 std::bit_ceil(workloads::estimatedInstrs(app) / 4),
                 1 << 12),
             1 << 20),
-        sim::parseTraceMask(trace_mask));
+        o.sel.traceMask);
     if (!trace_out.empty())
         sim.attachTrace(&trace);
     // Periodic gauge sampling: every track probes component state at
     // scheduled tick boundaries, so the series is identical however
     // the run is driven (interpreted, replayed, or forked).
     sim::CounterSampler sampler(
-        sample_period > 0 ? static_cast<Tick>(sample_period)
-                          : core::defaultSamplePeriod(cfg));
-    const bool sampling = sample_period >= 0;
+        o.samplePeriod > 0 ? static_cast<Tick>(o.samplePeriod)
+                           : core::defaultSamplePeriod(cfg));
+    const bool sampling = o.samplePeriod >= 0;
     if (sampling)
         sim.attachSampler(&sampler);
     auto r = sim.run("main");
+    auto exportTrace = [&] {
+        writeJsonOutput(trace_out, [&](std::ostream &os) {
+            trace.exportChromeJson(os, sampling ? &sampler : nullptr);
+        });
+    };
 
     // With `--stats-json -` the JSON owns stdout (see runBatch).
-    std::fprintf(stats_json == "-" ? stderr : stdout,
-                 "%s on %s/%s: %llu instrs, %llu cycles "
-                 "(slowdown %.3fx), region %.1f instrs, "
-                 "PB stalls %llu, RBT stalls %llu\n",
-                 app.name.c_str(), scheme.c_str(), nvm.c_str(),
-                 (unsigned long long)r.instructions,
-                 (unsigned long long)r.cycles,
-                 static_cast<double>(r.cycles) /
-                     static_cast<double>(base.cycles),
-                 r.meanRegionInstrs,
-                 (unsigned long long)r.pbFullStalls,
-                 (unsigned long long)r.rbtFullStalls);
+    printRun(stats_json == "-" ? stderr : stdout, app, o, r, base);
 
-    if (stats)
+    if (o.stats)
         sim.dumpStats(std::cout);
     if (!stats_json.empty()) {
         writeJsonOutput(stats_json, [&sim](std::ostream &os) {
@@ -421,7 +435,7 @@ runMain(int argc, char **argv)
         });
     }
 
-    if (crash_sweep > 0 || !crash_at_event.empty()) {
+    if (o.crashSweep > 0 || o.atEvent) {
         // One functional golden run: final memory, return value and
         // device output, plus the commit stream that every sweep
         // point replays its pristine epochs from (battery-backed
@@ -432,43 +446,26 @@ runMain(int argc, char **argv)
         const core::CommitStream *stream =
             cfg.scheme.batteryBacked ? nullptr : &golden.stream;
         auto set = fault::enumerateCrashPoints(
-            *mod, cfg, {core::ThreadSpec{}},
-            crash_sweep > 0 ? static_cast<std::size_t>(crash_sweep)
-                            : 0,
-            stream);
+            *mod, cfg, {core::ThreadSpec{}}, o.crashSweep, stream);
 
         std::vector<fault::CrashPoint> chosen;
-        if (!crash_at_event.empty()) {
-            std::string kind_name = crash_at_event;
-            std::size_t idx = 0;
-            auto colon = kind_name.find(':');
-            if (colon != std::string::npos) {
-                idx = static_cast<std::size_t>(
-                    std::atoi(kind_name.c_str() + colon + 1));
-                kind_name = kind_name.substr(0, colon);
-            }
-            fault::CrashPointKind kind;
-            if (!fault::parseCrashPointKind(kind_name, kind)) {
-                std::fprintf(stderr,
-                             "unknown crash-point kind '%s'\n",
-                             kind_name.c_str());
-                return 2;
-            }
+        if (o.atEvent) {
             std::vector<fault::CrashPoint> of_kind;
             for (const auto &p : set.points)
-                if (p.kind == kind)
+                if (p.kind == o.eventKind)
                     of_kind.push_back(p);
-            if (idx >= of_kind.size()) {
+            if (o.eventIndex >= of_kind.size()) {
                 std::fprintf(stderr,
                              "only %zu %s point(s) in this run\n",
-                             of_kind.size(), kind_name.c_str());
+                             of_kind.size(),
+                             fault::crashPointKindName(o.eventKind));
                 return 2;
             }
-            chosen.push_back(of_kind[idx]);
+            chosen.push_back(of_kind[o.eventIndex]);
         } else {
             chosen = set.points;
             // Evenly subsample the merged list down to N points.
-            auto want = static_cast<std::size_t>(crash_sweep);
+            const std::size_t want = o.crashSweep;
             if (chosen.size() > want) {
                 std::vector<fault::CrashPoint> picked;
                 for (std::size_t i = 0; i < want; ++i) {
@@ -498,7 +495,7 @@ runMain(int argc, char **argv)
         fault::CheckpointMap ckpts;
         fault::CkptCacheReport ledger;
         std::size_t ckpt_bytes = 0;
-        if (fork_sweep) {
+        if (o.forkSweep) {
             std::vector<Tick> ticks;
             for (const auto &p : chosen)
                 ticks.push_back(p.tick);
@@ -539,7 +536,7 @@ runMain(int argc, char **argv)
         }
         std::printf("%zu crash point(s), %d failure(s)\n",
                     chosen.size(), failures);
-        if (fork_sweep) {
+        if (o.forkSweep) {
             std::printf("checkpoint cache: %llu captured, %llu "
                         "forks, %llu fallbacks%s, %.1f MB resident\n",
                         (unsigned long long)ledger.captures,
@@ -551,11 +548,11 @@ runMain(int argc, char **argv)
         return failures == 0 ? 0 : 1;
     }
 
-    if (crash_frac >= 0.0) {
+    if (o.crashFrac >= 0.0) {
         interp::SparseMemory golden_mem;
         Word golden =
             interp::runToCompletion(*mod, golden_mem, "main", {});
-        auto crash = static_cast<Tick>(r.cycles * crash_frac);
+        auto crash = static_cast<Tick>(r.cycles * o.crashFrac);
         auto out = sim.runWithCrash({core::ThreadSpec{}}, crash);
         auto check =
             core::checkGlobals(*mod, golden_mem, sim.memory());
@@ -569,24 +566,13 @@ runMain(int argc, char **argv)
                     (unsigned long long)out.reexecutedInstrs,
                     (unsigned long long)out.resumeRegions[0],
                     ok ? "CONSISTENT" : "CORRUPT");
-        if (!trace_out.empty()) {
-            writeJsonOutput(
-                trace_out,
-                [&trace, &sampler, sampling](std::ostream &os) {
-                    trace.exportChromeJson(
-                        os, sampling ? &sampler : nullptr);
-                });
-        }
+        if (!trace_out.empty())
+            exportTrace();
         return ok ? 0 : 1;
     }
 
     if (!trace_out.empty()) {
-        writeJsonOutput(
-            trace_out,
-            [&trace, &sampler, sampling](std::ostream &os) {
-                trace.exportChromeJson(os,
-                                       sampling ? &sampler : nullptr);
-            });
+        exportTrace();
         std::fprintf(stderr,
                      "trace: %llu events recorded (%llu dropped) -> "
                      "%s\n",
@@ -602,11 +588,90 @@ runMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // cwsp_fatal throws; surface the message without a terminate().
-    try {
-        return runMain(argc, argv);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
+    Options o;
+    o.sel.schemes = {"cwsp"};
+    o.sel.oneScheme = true;
+    auto crashAtEvent = [&o](const std::vector<std::string> &v) {
+        const auto colon = v[0].find(':');
+        if (!fault::parseCrashPointKind(v[0].substr(0, colon),
+                                        o.eventKind))
+            throw cli::UsageError("--crash-at-event: unknown "
+                                  "crash-point kind in '" +
+                                  v[0] + "'");
+        o.eventIndex = colon == std::string::npos
+                           ? 0
+                           : cli::parseNumber<std::size_t>(
+                                 "--crash-at-event",
+                                 v[0].substr(colon + 1), 0, 1000000);
+        o.atEvent = true;
+    };
+    auto commits = [&o](const std::vector<std::string> &v) {
+        const auto colon = v[0].find(':');
+        if (colon == std::string::npos)
+            throw cli::UsageError("--commits expects FROM:N, got '" +
+                                  v[0] + "'");
+        o.commitsFrom = cli::parseNumber<std::uint64_t>(
+            "--commits", v[0].substr(0, colon), 0, UINT64_MAX);
+        o.commitsCount = cli::parseNumber<std::uint64_t>(
+            "--commits", v[0].substr(colon + 1), 1, UINT64_MAX);
+    };
+    const cli::Table table = {
+        cli::flag("--list", "list applications and exit", o.list),
+        cli::selection(o.sel, "--app"),
+        cli::selection(o.sel, "--suite"),
+        cli::selection(o.sel, "--scheme"),
+        cli::number("--bw", "GB", "persist-path bandwidth (default 4)",
+                    o.bw, 0.01, 1e4),
+        cli::number("--rbt", "N", "RBT entries (default 16)", o.rbt, 1,
+                    65536),
+        cli::number("--pb", "N", "persist-buffer entries (default 50)",
+                    o.pb, 1, 65536),
+        cli::number("--wpq", "N", "WPQ entries (default 24)", o.wpq, 1,
+                    65536),
+        {"--nvm", "TECH",
+         "pmem|sttram|reram|dram|cxl-a..d|cxl-dram (default pmem)",
+         [&o](const auto &v) {
+             mem::nvmTechByName(v[0]); // fatal on an unknown name
+             o.nvm = v[0];
+         }},
+        cli::selection(o.sel, "--jobs"),
+        cli::selection(o.sel, "--cache-dir"),
+        cli::selection(o.sel, "--no-result-cache"),
+        cli::number("--crash", "FRAC",
+                    "inject a power failure at FRAC of the run (single "
+                    "app)",
+                    o.crashFrac, 0.0, 1.0),
+        cli::number("--crash-sweep", "N",
+                    "crash at N trace-derived interesting points (single\n"
+                    "app); each point forks from a golden-run checkpoint",
+                    o.crashSweep, 1, 100000),
+        cli::flag("--no-fork",
+                  "sweep without checkpoint forking (re-execute "
+                  "prefixes)",
+                  o.forkSweep, false),
+        {"--crash-at-event", "KIND[:N]",
+         "crash at the N-th (default 0) point of KIND:\n"
+         "region_begin|region_persist|mid_drain|undo_append",
+         crashAtEvent},
+        cli::flag("--stats", "dump component statistics (single app)",
+                  o.stats),
+        cli::selection(o.sel, "--stats-json"),
+        cli::selection(o.sel, "--trace-out"),
+        cli::selection(o.sel, "--trace-mask"),
+        cli::number("--sample-period", "N",
+                    "sample gauges every N simulated cycles (single app;\n"
+                    "0 = config-derived) into --stats-json and "
+                    "--trace-out",
+                    o.samplePeriod, 0),
+        cli::flag("--dump-ir",
+                  "print the IR compiled for the scheme, annotated with\n"
+                  "regions, live-ins and recovery slices, and exit",
+                  o.dumpIr),
+        {"--commits", "FROM:N",
+         "print committed instructions FROM..FROM+N-1 with cycle\n"
+         "timestamps and persistence events, and exit",
+         commits},
+    };
+    return cli::run(argc, argv, "[options]", table,
+                    [&o] { return runMain(o); });
 }
