@@ -16,7 +16,8 @@ using namespace cwsp::bench;
 int
 main(int argc, char **argv)
 {
-    auto baseline = core::makeSystemConfig("baseline");
+    const auto baseline = core::makeSystemConfig("baseline");
+    const auto cwsp_cfg = core::makeSystemConfig("cwsp");
 
     for (const char *name : {"lulesh", "water-ns", "radix", "tpcc"}) {
         auto app = workloads::appByName(name);
@@ -35,30 +36,23 @@ main(int argc, char **argv)
                                      stats.checkpointsInserted);
             });
 
+        auto unpruned = cwsp_cfg;
+        unpruned.compiler.pruneCheckpoints = false;
         registerMetric(
             "ablation/pruning-speedup/" + app.name, "speedup",
-            [app, baseline]() {
-                auto pruned = core::makeSystemConfig("cwsp");
-                auto unpruned = core::makeSystemConfig("cwsp");
-                unpruned.compiler.pruneCheckpoints = false;
-                double with_p =
-                    slowdown(app, pruned, baseline, "abl-pruned");
-                double without_p = slowdown(app, unpruned, baseline,
-                                            "abl-unpruned");
-                return without_p / with_p;
+            {{app, baseline}, {app, cwsp_cfg}, {app, unpruned}},
+            [](const std::vector<core::RunResult> &r) {
+                return slowdown(r[2], r[0]) / slowdown(r[1], r[0]);
             });
 
+        auto cuts = cwsp_cfg;
+        cuts.compiler.cutRegisterAntideps = true;
         registerMetric(
             "ablation/register-war-cuts-overhead/" + app.name,
-            "slowdown_ratio", [app, baseline]() {
-                auto cuts = core::makeSystemConfig("cwsp");
-                cuts.compiler.cutRegisterAntideps = true;
-                double with_cuts =
-                    slowdown(app, cuts, baseline, "abl-regcuts");
-                double without_cuts =
-                    slowdown(app, core::makeSystemConfig("cwsp"),
-                             baseline, "cwsp");
-                return with_cuts / without_cuts;
+            "slowdown_ratio",
+            {{app, baseline}, {app, cuts}, {app, cwsp_cfg}},
+            [](const std::vector<core::RunResult> &r) {
+                return slowdown(r[1], r[0]) / slowdown(r[2], r[0]);
             });
 
         registerMetric(

@@ -10,7 +10,6 @@
 
 #include "bench_util.hh"
 
-#include "compiler/pass_manager.hh"
 #include "workloads/kernels.hh"
 
 using namespace cwsp;
@@ -18,63 +17,28 @@ using namespace cwsp::bench;
 
 namespace {
 
-Tick
-runParallel(const workloads::ParallelParams &pp, const char *scheme)
+/** cwsp's cycles over the baseline's on @p workers cores. */
+double
+overhead(const std::function<std::unique_ptr<ir::Module>()> &build,
+         std::uint32_t workers)
 {
-    auto cfg = core::makeSystemConfig(scheme);
-    cfg.numCores = pp.numWorkers;
-    auto mod = workloads::buildParallelKernel(pp);
-    compiler::compileForWsp(*mod, cfg.compiler);
-    core::WholeSystemSim sim(*mod, cfg);
-    std::vector<core::ThreadSpec> threads;
-    for (std::uint32_t t = 0; t < pp.numWorkers; ++t)
-        threads.push_back(core::ThreadSpec{"worker", {Word{t}}});
-    return sim.run(threads).cycles;
+    return static_cast<double>(workerCycles(
+               build(), core::makeSystemConfig("cwsp"), workers)) /
+           static_cast<double>(workerCycles(
+               build(), core::makeSystemConfig("baseline"), workers));
 }
 
+/** The parallel kernel: bursts of @p stores, @p compute ops apart. */
 workloads::ParallelParams
-storeHeavy(std::uint32_t workers)
+parallel(std::uint32_t workers, std::uint32_t stores,
+         std::uint32_t compute, std::uint32_t atomic_every)
 {
-    workloads::ParallelParams pp;
-    pp.numWorkers = workers;
-    pp.itersPerWorker = 2'000;
-    pp.wordsPerWorker = 1 << 12;
-    pp.storesPerBurst = 4;
-    pp.computeOps = 8;
-    pp.atomicEvery = 64;
-    return pp;
-}
-
-workloads::ParallelParams
-computeHeavy(std::uint32_t workers)
-{
-    workloads::ParallelParams pp;
-    pp.numWorkers = workers;
-    pp.itersPerWorker = 2'000;
-    pp.wordsPerWorker = 1 << 12;
-    pp.storesPerBurst = 1;
-    pp.computeOps = 40;
-    pp.atomicEvery = 256;
-    return pp;
-}
-
-} // namespace
-
-namespace {
-
-Tick
-runMixWorkers(const workloads::MixParams &mp, std::uint32_t workers,
-              const char *scheme)
-{
-    auto cfg = core::makeSystemConfig(scheme);
-    cfg.numCores = workers;
-    auto mod = workloads::buildMixKernel(mp, workers);
-    compiler::compileForWsp(*mod, cfg.compiler);
-    core::WholeSystemSim sim(*mod, cfg);
-    std::vector<core::ThreadSpec> threads;
-    for (std::uint32_t t = 0; t < workers; ++t)
-        threads.push_back(core::ThreadSpec{"worker", {Word{t}}});
-    return sim.run(threads).cycles;
+    return {.wordsPerWorker = 1 << 12,
+            .itersPerWorker = 2'000,
+            .numWorkers = workers,
+            .storesPerBurst = stores,
+            .computeOps = compute,
+            .atomicEvery = atomic_every};
 }
 
 } // namespace
@@ -82,40 +46,32 @@ runMixWorkers(const workloads::MixParams &mp, std::uint32_t workers,
 int
 main(int argc, char **argv)
 {
-    // SPLASH3-class shared-read / partitioned-write mix workload at
-    // 1..8 threads (the suites the paper runs multithreaded).
     for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+        // SPLASH3-class shared-read / partitioned-write mix (the
+        // suites the paper runs multithreaded).
         registerMetric(
             "multicore/splash-mix/cores" + std::to_string(workers),
             "slowdown", [workers]() {
-                workloads::MixParams mp =
-                    workloads::appByName("ocg").mix;
+                auto mp = workloads::appByName("ocg").mix;
                 mp.iterations = 2'500;
-                return static_cast<double>(
-                           runMixWorkers(mp, workers, "cwsp")) /
-                       static_cast<double>(
-                           runMixWorkers(mp, workers, "baseline"));
+                return overhead(
+                    [&] { return workloads::buildMixKernel(mp, workers); },
+                    workers);
             });
     }
-
     for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-        registerMetric(
-            "multicore/store-heavy/cores" + std::to_string(workers),
-            "slowdown", [workers]() {
-                auto pp = storeHeavy(workers);
-                return static_cast<double>(runParallel(pp, "cwsp")) /
-                       static_cast<double>(
-                           runParallel(pp, "baseline"));
-            });
-        registerMetric(
-            "multicore/compute-heavy/cores" + std::to_string(workers),
-            "slowdown", [workers]() {
-                auto pp = computeHeavy(workers);
-                return static_cast<double>(runParallel(pp, "cwsp")) /
-                       static_cast<double>(
-                           runParallel(pp, "baseline"));
-            });
+        const std::pair<std::string, workloads::ParallelParams> kernels[] =
+            {{"store-heavy", parallel(workers, 4, 8, 64)},
+             {"compute-heavy", parallel(workers, 1, 40, 256)}};
+        for (const auto &[name, params] : kernels) {
+            registerMetric(
+                "multicore/" + name + "/cores" + std::to_string(workers),
+                "slowdown", [pp = params, workers]() {
+                    return overhead(
+                        [&] { return workloads::buildParallelKernel(pp); },
+                        workers);
+                });
+        }
     }
-
     return benchMain(argc, argv);
 }

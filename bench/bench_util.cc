@@ -3,12 +3,13 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <mutex>
+#include <regex>
 #include <set>
 #include <thread>
 
 #include "cli.hh"
+#include "compiler/pass_manager.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
@@ -16,23 +17,21 @@ namespace cwsp::bench {
 
 namespace {
 
-/**
- * Process-wide bench state. The old implementation memoized runs in
- * a function-local `static std::map` with no locking — a latent data
- * race the moment two threads bench; everything here is guarded and
- * the simulations themselves run through the BatchRunner engine.
- */
+/** A registered case: its google-benchmark name and its points. */
+struct Case
+{
+    std::string name;
+    std::vector<driver::DesignPoint> points;
+};
+
+/** Process-wide bench state. */
 struct BenchState
 {
-    std::mutex mu;
-    driver::BatchConfig runnerConfig;
+    /** Made by benchMain from the runner flags, before any case runs. */
     std::unique_ptr<driver::BatchRunner> runner;
-    /** (app.name | key) -> result; references handed out are stable. */
-    std::map<std::string, core::RunResult> memo;
-    /** Design points queued for benchMain's parallel prefetch. */
-    std::vector<driver::DesignPoint> pending;
-    std::vector<std::string> pendingMemoKeys;
-    std::set<std::string> pendingSeen;
+    /** Every registered case, in registration (= run) order. */
+    std::vector<Case> cases;
+    std::once_flag prefetched;
 };
 
 BenchState &
@@ -42,207 +41,54 @@ state()
     return s;
 }
 
-/** The runner is created on first use with the configured options. */
-driver::BatchRunner &
-runnerLocked(BenchState &st)
+/**
+ * The cases google-benchmark 1.7.1 runs under `--benchmark_filter`:
+ * an extended-regex search over each full name, negated by a leading
+ * '-'; empty or "all" selects everything, a bad regex nothing.
+ */
+std::vector<const Case *>
+selectedCases()
 {
-    if (!st.runner)
-        st.runner =
-            std::make_unique<driver::BatchRunner>(st.runnerConfig);
-    return *st.runner;
-}
-
-std::string
-memoKey(const workloads::AppProfile &app, const std::string &key)
-{
-    return app.name + "|" + key;
-}
-
-} // namespace
-
-driver::BatchRunner &
-batchRunner()
-{
-    auto &st = state();
-    std::lock_guard<std::mutex> lk(st.mu);
-    return runnerLocked(st);
-}
-
-core::RunResult
-runApp(const workloads::AppProfile &app,
-       const core::SystemConfig &config)
-{
-    auto mod = workloads::buildApp(app, config.compiler);
-    core::WholeSystemSim sim(*mod, config);
-    return sim.run("main");
-}
-
-const core::RunResult &
-cachedRun(const workloads::AppProfile &app,
-          const core::SystemConfig &config, const std::string &key)
-{
-    auto &st = state();
-    std::lock_guard<std::mutex> lk(st.mu);
-    std::string full = memoKey(app, key);
-    auto it = st.memo.find(full);
-    if (it == st.memo.end()) {
-        auto r = runnerLocked(st).run(
-            driver::DesignPoint{app, config});
-        it = st.memo.emplace(full, std::move(r)).first;
+    std::string filter = benchmark::GetBenchmarkFilter();
+    if (filter.empty() || filter == "all")
+        filter = ".";
+    const bool negate = filter[0] == '-';
+    if (negate)
+        filter.erase(0, 1);
+    std::regex re;
+    try {
+        re = std::regex(filter, std::regex::extended);
+    } catch (const std::regex_error &) {
+        return {};
     }
-    return it->second;
+    std::vector<const Case *> out;
+    for (const auto &c : state().cases)
+        if (std::regex_search(c.name, re) != negate)
+            out.push_back(&c);
+    return out;
 }
-
-double
-slowdown(const workloads::AppProfile &app,
-         const core::SystemConfig &config,
-         const core::SystemConfig &baseline_config,
-         const std::string &config_key, core::RunResult *config_result,
-         const std::string &baseline_key)
-{
-    const auto &base = cachedRun(app, baseline_config, baseline_key);
-    const auto &run = cachedRun(app, config, config_key);
-    if (config_result)
-        *config_result = run;
-    return static_cast<double>(run.cycles) /
-           static_cast<double>(base.cycles);
-}
-
-double
-gmean(const std::vector<double> &values)
-{
-    if (values.empty()) {
-        cwsp_warn("gmean over an empty bucket — misconfigured sweep "
-                  "or bar cases filtered out; reporting NaN");
-        return std::numeric_limits<double>::quiet_NaN();
-    }
-    double log_sum = 0.0;
-    for (double v : values)
-        log_sum += std::log(v);
-    return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-void
-registerMetric(const std::string &bench_name,
-               const std::string &counter_name,
-               std::function<double()> fn)
-{
-    benchmark::RegisterBenchmark(
-        bench_name.c_str(),
-        [counter_name, fn](benchmark::State &state) {
-            double value = 0.0;
-            for (auto _ : state)
-                value = fn();
-            state.counters[counter_name] = value;
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
-void
-prefetchPoint(const workloads::AppProfile &app,
-              const core::SystemConfig &config, const std::string &key)
-{
-    auto &st = state();
-    std::lock_guard<std::mutex> lk(st.mu);
-    std::string full = memoKey(app, key);
-    if (!st.pendingSeen.insert(full).second)
-        return;
-    st.pending.push_back(driver::DesignPoint{app, config});
-    st.pendingMemoKeys.push_back(std::move(full));
-}
-
-void
-registerSweep(const std::string &fig,
-              const std::vector<SweepPoint> &points,
-              const core::SystemConfig &baseline)
-{
-    // suite -> (app name -> slowdown), per point label. Keyed by app
-    // so a re-run of a bar case (--benchmark_repetitions, repeated
-    // --benchmark_filter selections) overwrites its own slot instead
-    // of appending a duplicate bar that would skew the gmeans.
-    using AppMap = std::map<std::string, double>;
-    using Bucket = std::map<std::string, AppMap>;
-    auto buckets = std::make_shared<std::map<std::string, Bucket>>();
-
-    for (const auto &point : points) {
-        const core::SystemConfig &base =
-            point.baselineOverride ? *point.baselineOverride
-                                   : baseline;
-        const std::string base_key = point.baselineKey;
-        const std::string point_key = fig + "-" + point.label;
-        for (const auto &app : workloads::appTable()) {
-            prefetchPoint(app, base, base_key);
-            prefetchPoint(app, point.config, point_key);
-            registerMetric(
-                fig + "/" + point.label + "/" + app.suite + "/" +
-                    app.name,
-                "slowdown",
-                [app, point, base, base_key, point_key, buckets]() {
-                    double s = slowdown(app, point.config, base,
-                                        point_key, nullptr, base_key);
-                    (*buckets)[point.label][app.suite][app.name] = s;
-                    (*buckets)[point.label]["all"][app.name] = s;
-                    return s;
-                });
-        }
-        std::vector<std::string> groups = workloads::suiteNames();
-        groups.push_back("all");
-        for (const auto &suite : groups) {
-            registerMetric(fig + "/" + point.label + "/gmean/" + suite,
-                           "slowdown", [point, suite, buckets]() {
-                               std::vector<double> values;
-                               for (const auto &[name, s] :
-                                    (*buckets)[point.label][suite])
-                                   values.push_back(s);
-                               return gmean(values);
-                           });
-        }
-    }
-}
-
-namespace {
 
 /**
- * The bench body: evaluate every queued design point across the
- * worker pool, then run the google-benchmark cases in argv.
+ * The parallel prefetch: evaluate the distinct design points of every
+ * selected case across the worker pool, once, before the first case
+ * reads its results from the runner's memo.
  */
-int
-runBenches(int argc, char **argv, const cli::Selection &sel)
+void
+prefetchSelected()
 {
-    const unsigned jobs = sel.jobs;
-    const std::string &stats_json = sel.statsJson;
-    {
-        auto &st = state();
-        std::lock_guard<std::mutex> lk(st.mu);
-        cwsp_assert(!st.runner,
-                    "benchMain must configure the runner before any "
-                    "cachedRun call");
-        st.runnerConfig = sel.batchConfig();
-    }
-
-    benchmark::Initialize(&argc, argv);
-
-    // Parallel prefetch: evaluate every registered design point
-    // across the worker pool (sharing compiled modules and hitting
-    // the persistent cache) before the single-threaded cases run.
-    std::vector<driver::DesignPoint> points;
-    std::vector<std::string> keys;
-    {
-        auto &st = state();
-        std::lock_guard<std::mutex> lk(st.mu);
-        points.swap(st.pending);
-        keys.swap(st.pendingMemoKeys);
-        st.pendingSeen.clear();
-    }
-    if (!points.empty()) {
+    std::call_once(state().prefetched, [] {
+        std::vector<driver::DesignPoint> points;
+        std::set<std::string> seen;
+        for (const Case *c : selectedCases())
+            for (const auto &p : c->points)
+                if (seen.insert(driver::BatchRunner::pointKey(p)).second)
+                    points.push_back(p);
+        if (points.empty())
+            return;
         auto &runner = batchRunner();
-        auto results = runner.runAll(points);
-        auto &st = state();
-        std::lock_guard<std::mutex> lk(st.mu);
-        for (std::size_t i = 0; i < results.size(); ++i)
-            st.memo.emplace(keys[i], std::move(results[i]));
+        runner.runAll(points);
         auto s = runner.stats();
+        const unsigned jobs = runner.config().jobs;
         std::fprintf(stderr,
                      "batch: %zu points (%llu simulated, %llu disk "
                      "hits, %llu memory hits), %llu compiles (%llu "
@@ -258,16 +104,112 @@ runBenches(int argc, char **argv, const cli::Selection &sel)
                                      1u,
                                      std::thread::
                                          hardware_concurrency()));
-    }
+    });
+}
 
+} // namespace
+
+driver::BatchRunner &
+batchRunner()
+{
+    auto &runner = state().runner;
+    cwsp_assert(runner, "the batch runner is made by benchMain");
+    return *runner;
+}
+
+Tick
+workerCycles(std::unique_ptr<ir::Module> mod, core::SystemConfig config,
+             std::uint32_t workers)
+{
+    config.numCores = workers;
+    compiler::compileForWsp(*mod, config.compiler);
+    core::WholeSystemSim sim(*mod, config);
+    std::vector<core::ThreadSpec> threads;
+    for (std::uint32_t t = 0; t < workers; ++t)
+        threads.push_back(core::ThreadSpec{"worker", {Word{t}}});
+    return sim.run(threads).cycles;
+}
+
+double
+slowdown(const core::RunResult &run, const core::RunResult &baseline)
+{
+    return static_cast<double>(run.cycles) /
+           static_cast<double>(baseline.cycles);
+}
+
+double
+gmean(const std::vector<double> &values)
+{
+    if (values.empty()) {
+        cwsp_warn("gmean over an empty bucket — misconfigured sweep; "
+                  "reporting NaN");
+        return std::numeric_limits<double>::quiet_NaN();
+    }
+    double log_sum = 0.0;
+    for (double v : values)
+        log_sum += std::log(v);
+    return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+void
+registerMetric(
+    const std::string &bench_name, const std::string &counter_name,
+    std::vector<driver::DesignPoint> points,
+    std::function<double(const std::vector<core::RunResult> &)> fn)
+{
+    auto &cases = state().cases;
+    const std::size_t index = cases.size();
+    // Iterations(1) makes google-benchmark name the case
+    // "<name>/iterations:1"; the filter matches that full name.
+    cases.push_back({bench_name + "/iterations:1", std::move(points)});
+    benchmark::RegisterBenchmark(
+        bench_name.c_str(),
+        [counter_name, fn, index](benchmark::State &gb) {
+            prefetchSelected();
+            double value = 0.0;
+            for (auto _ : gb) {
+                std::vector<core::RunResult> results;
+                for (const auto &p : state().cases[index].points)
+                    results.push_back(batchRunner().run(p));
+                value = fn(results);
+            }
+            gb.counters[counter_name] = value;
+        })
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
+}
+
+void
+registerMetric(const std::string &bench_name,
+               const std::string &counter_name,
+               std::function<double()> fn)
+{
+    registerMetric(bench_name, counter_name, {},
+                   [fn](const std::vector<core::RunResult> &) {
+                       return fn();
+                   });
+}
+
+namespace {
+
+/**
+ * The bench body: configure the runner, then run the google-benchmark
+ * cases argv selects (the first one starts the prefetch).
+ */
+int
+runBenches(int argc, char **argv, const cli::Selection &sel)
+{
+    state().runner =
+        std::make_unique<driver::BatchRunner>(sel.batchConfig());
+    benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
     // Component stats aggregated over every point this process
     // actually simulated (cache hits contribute nothing — their
     // stats were folded in when the point was first computed).
-    if (!stats_json.empty() &&
-        !json::writeFile(stats_json, [](std::ostream &os) {
+    if (!sel.statsJson.empty() &&
+        !json::writeFile(sel.statsJson, [](std::ostream &os) {
             batchRunner().exportAggregateJson(os);
         }))
         return 1;

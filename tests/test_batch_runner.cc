@@ -124,7 +124,8 @@ TEST(BatchRunner, MatchesDirectSimulation)
     auto app = tinyApp("t-direct", 80);
     auto cfg = core::makeSystemConfig("cwsp");
 
-    auto direct = bench::runApp(app, cfg);
+    auto mod = workloads::buildApp(app, cfg.compiler);
+    auto direct = core::WholeSystemSim(*mod, cfg).run("main");
 
     driver::BatchRunner runner(memOnly(4));
     auto batched = runner.run(driver::DesignPoint{app, cfg});

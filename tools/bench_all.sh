@@ -45,25 +45,35 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Keep the previous summary so the baseline differ can flag metric
-# regressions after the new one is written.
+# regressions after the new one is written. It lives in a
+# subdirectory so the aggregation glob below doesn't scoop it up as a
+# bench binary.
 prev=
 if [ -f "$OUT" ]; then
-    prev=$tmp/previous_summary.json
+    mkdir -p "$tmp/previous"
+    prev=$tmp/previous/summary.json
     cp "$OUT" "$prev"
 fi
 
-start=$(date +%s)
+# Each step's wall time: "STEP START END" lines (seconds since the
+# epoch, nanosecond resolution), folded into the summary as
+# wall_clock_s.
+steps=$tmp/steps.txt
+: > "$steps"
+step_done() { echo "$1 $2 $(date +%s.%N)" >> "$steps"; }
+
 for b in "$BUILD_DIR"/bench/bench_*; do
     [ -x "$b" ] || continue
     name=$(basename "$b")
     echo ">> $name (jobs=$JOBS)" >&2
+    t0=$(date +%s.%N)
     "$b" --jobs "$JOBS" \
          --benchmark_out="$tmp/$name.json" \
          --benchmark_out_format=json \
          --stats-json "$tmp/$name.stats.json" \
          "$@" > /dev/null
+    step_done "$name" "$t0"
 done
-elapsed=$(( $(date +%s) - start ))
 
 # Robustness counters ride along with the perf numbers: a bounded
 # fault campaign (trace-derived crash points, nested crashes, media
@@ -77,11 +87,13 @@ if [ -x "$BUILD_DIR/tools/cwsp_faultcampaign" ]; then
     mkdir -p "$tmp/campaign"
     campaign=$tmp/campaign/report.json
     echo ">> cwsp_faultcampaign (jobs=$JOBS)" >&2
+    t0=$(date +%s.%N)
     "$BUILD_DIR"/tools/cwsp_faultcampaign --app fft,bzip2,cqueue \
         --points 1 --schedules 2 --jobs "$JOBS" \
         --json "$campaign" --quiet ||
         echo "bench_all: fault campaign reported failures" \
              "(folded into $OUT)" >&2
+    step_done fault_campaign "$t0"
 fi
 
 # Counterfactual what-if profile: idealize one resource at a time on
@@ -96,22 +108,33 @@ if [ -x "$BUILD_DIR/tools/cwsp_analyze" ]; then
     mkdir -p "$tmp/whatif"
     whatif=$tmp/whatif/report.json
     echo ">> cwsp_analyze --whatif (jobs=$JOBS)" >&2
+    t0=$(date +%s.%N)
     "$BUILD_DIR"/tools/cwsp_analyze --whatif --scheme all \
         --app fft,bzip2 --jobs "$JOBS" --report-json "$whatif" \
         > /dev/null ||
         { echo "bench_all: what-if profile failed" >&2; whatif=; }
+    step_done whatif "$t0"
 fi
 
-python3 - "$OUT" "$elapsed" "${campaign:-none}" "${whatif:-none}" \
+python3 - "$OUT" "$steps" "${campaign:-none}" "${whatif:-none}" \
     "$tmp"/*.json <<'EOF'
 import json
 import os
 import sys
 
-out_path, elapsed = sys.argv[1], int(sys.argv[2])
+out_path, steps_path = sys.argv[1], sys.argv[2]
 campaign_path = sys.argv[3]
 whatif_path = sys.argv[4]
 del sys.argv[3:5]
+# Per-step wall time in seconds, rounded to the millisecond.
+wall = {}
+with open(steps_path) as f:
+    for line in f:
+        step, t0, t1 = line.split()
+        wall[step] = round(float(t1) - float(t0), 3)
+# The top-level wall_clock_s is the bench binaries' total.
+elapsed = round(sum(t for s, t in wall.items()
+                    if s.startswith("bench_")), 3)
 merged = {"context": None, "wall_clock_s": elapsed, "binaries": []}
 stats = {}
 for path in sys.argv[3:]:
@@ -134,6 +157,7 @@ for path in sys.argv[3:]:
     merged["binaries"].append({
         "name": name,
         "binary": name,
+        "wall_clock_s": wall.get(name, 0),
         "benchmarks": data.get("benchmarks", []),
     })
 merged["component_stats"] = stats
@@ -150,6 +174,7 @@ if campaign_path != "none" and os.path.exists(campaign_path):
         "cases_passed": report.get("cases_passed", 0),
         "failure_count": report.get("failure_count", 0),
         "totals": report.get("totals", {}),
+        "wall_clock_s": wall.get("fault_campaign", 0),
     }
     # Per-scheme recovery scalars (not the bucket arrays): entries
     # stay keyed by "name" so flattened trajectory paths look like
@@ -199,6 +224,8 @@ if whatif_path != "none" and os.path.exists(whatif_path):
         }
         for s in wa.get("whatif", {}).get("scheme_summary", [])
     ]
+    # "whatif" is a list of scheme rows, so its step time sits beside it.
+    merged["whatif_wall_clock_s"] = wall.get("whatif", 0)
 with open(out_path, "w") as f:
     json.dump(merged, f, indent=1)
 print("wrote {}: {} binaries, {} cases, {}s wall clock".format(
